@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (BoundInputs, gap_certificate, gradient_norm_diagnostics,
-                     initial_bounds)
+from .bounds import BoundInputs, gap_certificate, initial_bounds
 from .constants import constants_report
 from .datasets import BundleFormatError, load_bundle, make_split, sbm_bundle, save_bundle
 from .experiments import (MODEL_CHOICES, ExperimentConfig, canonical_json,
-                          model_spec_for, run_experiment)
+                          model_spec_for, pool_size, run_experiment)
 from .gradients import fd_gradient, grad_sample, max_relative_error
 from .graphs import normalized_adjacency
 from .models import PropOps, forward, init_params
@@ -310,8 +309,9 @@ def _analyze_one(bundle, args, model: str) -> dict:
                            w0=w1)
         radius = trace.max_dist
 
-    b_loss, b_grad = initial_bounds(spec, ops, bundle.x, bundle.labels, w1)
-    diag = gradient_norm_diagnostics(spec, ops, bundle.x, bundle.labels, w1)
+    scan = initial_bounds(spec, ops, bundle.x, bundle.labels, w1)
+    b_loss, b_grad = scan
+    diag = scan.diagnostics()
     alpha_rate = args.alpha_rate if args.alpha_rate is not None else spec.activation.alpha_tilde
     inputs = BoundInputs(m=split.m, u=split.u, dim=init_params(spec, 0).size,
                          big_t=args.big_t, delta=args.delta, alpha=alpha_rate,
@@ -408,6 +408,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def cmd_experiment(args) -> int:
+    try:
+        pool_size()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     bundle = _load(args)
     models = tuple(m for m in args.models.split(",") if m)
     for m in models:

@@ -121,11 +121,18 @@ def run_single(bundle: DatasetBundle, config: ExperimentConfig, model: str,
                      test_acc=last.acc_u, grad_gap=last.grad_gap, trace=trace)
 
 
-def _pool_size() -> int:
-    env = os.environ.get("TRANSGAP_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def pool_size() -> int:
+    """Worker processes: TRANSGAP_THREADS when set, else the CPU count."""
+    env = os.environ.get("TRANSGAP_THREADS", "").strip()
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError("TRANSGAP_THREADS must be a positive integer")
+    return workers
 
 
 def _worker(args):
@@ -172,7 +179,7 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig,
                    out_dir=None) -> GapReport:
     """All (model, seed) runs, optional trace/curve emission to out_dir."""
     jobs = [(model, seed) for model in config.models for seed in config.seeds]
-    workers = _pool_size()
+    workers = pool_size()
     results: dict[tuple[str, int], RunResult] = {}
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

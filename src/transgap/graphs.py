@@ -21,6 +21,9 @@ from .rng import stream
 # materialized (fill-in grows quadratically at worst).
 FILTER_MATERIALIZE_LIMIT = 5000
 
+# Uniform draws held at once by ``sbm_generate`` (whole rows, at least one).
+_SBM_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class DegreeStats:
@@ -105,13 +108,23 @@ def _csr_bool(g: SparseGraph) -> sp.csr_matrix:
 
 
 def _ltr_row_sums(row_ptr: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Row sums with fixed left-to-right accumulation (cumsum is sequential)."""
-    out = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        s, e = row_ptr[i], row_ptr[i + 1]
-        if e > s:
-            out[i] = np.cumsum(values[s:e])[-1]
-    return out
+    """Row sums with fixed left-to-right accumulation.
+
+    Weighted ``bincount`` adds the entries one at a time in storage order,
+    and each row's entries are stored contiguously, left to right.
+    """
+    rows = np.repeat(np.arange(n), np.diff(row_ptr))
+    return np.bincount(rows, weights=values, minlength=n)
+
+
+def _entry_positions(row_ptr: np.ndarray,
+                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Storage positions of the entries of ``rows``, row after row, and the
+    entry count of each row."""
+    starts = row_ptr[rows]
+    counts = row_ptr[rows + 1] - starts
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return shift + np.arange(shift.size), counts
 
 
 @dataclass(frozen=True)
@@ -154,16 +167,54 @@ class PropagationMatrix:
     def row_sums(self) -> np.ndarray:
         return _ltr_row_sums(self.row_ptr, self.values, self.n)
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbor indices, values) of row i."""
-        s, e = self.row_ptr[i], self.row_ptr[i + 1]
-        return self.col_idx[s:e], self.values[s:e]
+    def induced(self, nodes: np.ndarray) -> "PropagationMatrix":
+        """Rows and columns ``nodes`` (sorted, distinct) of this operator.
+
+        Values are kept as they are, not renormalized, and each row keeps
+        its entries in their original order.
+        """
+        k = nodes.size
+        pos, counts = _entry_positions(self.row_ptr, nodes)
+        local = np.full(self.n, -1, dtype=np.int64)
+        local[nodes] = np.arange(k)
+        cols = local[self.col_idx[pos]]
+        keep = cols >= 0
+        row_ptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(np.repeat(np.arange(k), counts)[keep],
+                              minlength=k), out=row_ptr[1:])
+        values = self.values[pos[keep]]
+        return PropagationMatrix(
+            n=k, row_ptr=row_ptr, col_idx=cols[keep], values=values,
+            inf_norm=float(_ltr_row_sums(row_ptr, values, k).max()))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.to_scipy() @ x
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         return self.to_scipy() @ x
+
+
+def hop_ball(p: PropagationMatrix, seeds: np.ndarray, hops: int,
+             limit: float) -> np.ndarray | None:
+    """Sorted nodes within ``hops`` steps of ``seeds`` in the pattern of P.
+
+    Returns None as soon as the ball holds more than ``limit`` nodes.  The
+    search stops early once no new node is reached.
+    """
+    inside = np.zeros(p.n, dtype=bool)
+    inside[seeds] = True
+    frontier = np.flatnonzero(inside)
+    size = frontier.size
+    for _ in range(hops):
+        if size > limit or frontier.size == 0:
+            break
+        reached = np.zeros(p.n, dtype=bool)
+        reached[p.col_idx[_entry_positions(p.row_ptr, frontier)[0]]] = True
+        reached &= ~inside
+        inside |= reached
+        frontier = np.flatnonzero(reached)
+        size += frontier.size
+    return None if size > limit else np.flatnonzero(inside)
 
 
 def build_graph(edges, n: int, on_self_loop: str = "reject") -> SparseGraph:
@@ -325,10 +376,16 @@ def sbm_generate(sizes, p_in: float, p_out: float, seed: int,
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes).astype(np.int64)
     rng = stream(seed, "sbm")
-    u = rng.random((n, n))
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, p_in, p_out)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = u[iu, ju] < prob[iu, ju]
-    edges = np.column_stack([iu[mask], ju[mask]])
-    return build_graph(edges, n), labels
+    # Whole rows are drawn in chunks: consecutive draws continue the stream,
+    # so the uniforms are those of a single (n, n) draw, without its memory.
+    step = max(1, _SBM_CHUNK // n)
+    cols = np.arange(n)
+    edges = []
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        u = rng.random((rows.size, n))
+        prob = np.where(labels[rows, None] == labels[None, :], p_in, p_out)
+        hit = (u < prob) & (cols[None, :] > rows[:, None])
+        iu, ju = np.nonzero(hit)
+        edges.append(np.column_stack([iu + start, ju]))
+    return build_graph(np.concatenate(edges), n), labels

@@ -2,8 +2,10 @@
 
 Five architectures share one interface: a spec naming the architecture and
 its dimensions, a flat float64 parameter vector with a fixed column-major
-(per-column stacking) layout, and a forward pass over the whole node set
-that caches every intermediate the analytic gradients need.
+(per-column stacking) layout, and a forward pass over the node set of a
+``PropOps`` (the whole graph, or the receptive ball of a few nodes from
+``PropOps.restrict``) that caches every intermediate the analytic gradients
+need.
 
 Architectures (P is the normalized adjacency, sigma the smoothed ReLU):
 
@@ -21,13 +23,14 @@ omitted everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .activations import ActivationSpec, act_eval
 from .graphs import (FILTER_MATERIALIZE_LIMIT, PropagationMatrix, appnp_apply,
-                     appnp_coefficients, appnp_filter, gpr_powers)
+                     appnp_coefficients, appnp_filter, gpr_powers, hop_ball)
 from .rng import stream
 
 ARCHITECTURES = ("gcn", "gcnii", "sgc", "appnp", "gprgnn")
@@ -84,6 +87,18 @@ class ModelSpec:
             return (self.beta1, self.beta2)
         return tuple(self.beta1 / l for l in range(1, self.depth + 1))
 
+    def receptive_hops(self) -> int | None:
+        """Hops of P between a node's logits and the inputs they read.
+
+        None for appnp and gprgnn: their K-step filters reach most of any
+        connected graph, so they always run on the whole graph.
+        """
+        if self.arch in ("gcn", "gcnii"):
+            return self.depth
+        if self.arch == "sgc":
+            return 2
+        return None
+
     def activation_width(self) -> int:
         """Largest vector width the nonlinearity is applied to."""
         if self.arch in ("appnp", "gprgnn"):
@@ -107,7 +122,7 @@ class ParamLayout:
         offs, total = [], 0
         for _, shape in self.blocks:
             offs.append(total)
-            total += int(np.prod(shape))
+            total += math.prod(shape)
         object.__setattr__(self, "offsets", tuple(offs))
         object.__setattr__(self, "dim", total)
 
@@ -117,14 +132,14 @@ class ParamLayout:
     def slice_of(self, name: str) -> slice:
         for (bname, shape), off in zip(self.blocks, self.offsets):
             if bname == name:
-                return slice(off, off + int(np.prod(shape)))
+                return slice(off, off + math.prod(shape))
         raise KeyError(name)
 
     def view(self, w: np.ndarray, name: str) -> np.ndarray:
         """Matrix (or vector) view of one block; writes go through to w."""
         for (bname, shape), off in zip(self.blocks, self.offsets):
             if bname == name:
-                flat = w[off:off + int(np.prod(shape))]
+                flat = w[off:off + math.prod(shape)]
                 if len(shape) == 1:
                     return flat
                 return flat.reshape(shape, order="F")
@@ -170,7 +185,7 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     gain = np.sqrt(6.0) if (spec.depth > 2 and spec.arch == "gcn") else 1.0
     w = np.empty(layout.dim, dtype=np.float64)
     for (name, shape), off in zip(layout.blocks, layout.offsets):
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         if name == "gamma":
             w[off:off + size] = appnp_coefficients(0.1, spec.big_k)
         else:
@@ -211,6 +226,23 @@ class PropOps:
         e[i] = 1.0
         return appnp_apply(self.p, self.spec.gamma, self.spec.big_k, e)
 
+    def restrict(self, idx: np.ndarray) -> tuple["PropOps", np.ndarray] | None:
+        """Sub-problem on the receptive ball of the nodes ``idx``.
+
+        Returns the helpers for the rows and columns of P inside the ball
+        (values kept, not renormalized) and the sorted ball nodes, or None
+        when the architecture has no small ball or the ball holds more than
+        half the graph.  Logits of ``idx`` on the sub-problem, and every
+        gradient read from them, equal their whole-graph values.
+        """
+        hops = self.spec.receptive_hops()
+        if hops is None:
+            return None
+        ball = hop_ball(self.p, idx, hops, limit=self.n / 2)
+        if ball is None:
+            return None
+        return PropOps(self.p.induced(ball), self.spec), ball
+
     def power_row(self, i: int, big_k: int) -> np.ndarray:
         """Stack of rows [P^k]_{i*} for k = 0..K (P symmetric)."""
         rows = np.zeros((big_k + 1, self.n))
@@ -225,6 +257,13 @@ class ForwardCache:
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
+
+    def rows(self, idx: np.ndarray) -> "ForwardCache":
+        """The cached rows of the nodes ``idx`` (gcn, sgc and gcnii caches,
+        whose arrays, alone or in lists, all have one row per node)."""
+        return ForwardCache(**{
+            key: [a[idx] for a in val] if isinstance(val, list) else val[idx]
+            for key, val in self.__dict__.items()})
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -251,7 +290,8 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 
 def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
             w: np.ndarray) -> ForwardCache:
-    """Whole-graph forward pass; caches every gradient intermediate."""
+    """Forward pass over every node of ``ops``; caches every gradient
+    intermediate."""
     if x.shape != (ops.n, spec.d):
         raise ValueError(f"X has shape {x.shape}, expected {(ops.n, spec.d)}")
     layout = layout_for(spec)

@@ -150,12 +150,18 @@ def evaluate(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
 def gradient_gap(spec: ModelSpec, ops: PropOps, x: np.ndarray,
                  labels: np.ndarray, split: Split, w: np.ndarray,
                  cache: ForwardCache | None = None) -> float:
-    """2-norm of (mean train gradient - mean test gradient)."""
+    """2-norm of (mean train gradient - mean test gradient).
+
+    One backward pass over the signed errors: train rows weigh 1/m, test
+    rows -1/u.  The two sets are disjoint, so no row mixes both signs.
+    """
     if cache is None:
         cache = forward(spec, ops, x, w)
-    g_train = grad_mean(spec, ops, x, w, split.train_idx, labels, cache=cache)
-    g_test = grad_mean(spec, ops, x, w, split.test_idx, labels, cache=cache)
-    return float(np.linalg.norm(g_train - g_test))
+    idx = np.concatenate([split.train_idx, split.test_idx])
+    weights = np.concatenate([np.full(split.m, 1.0 / split.m),
+                              np.full(split.u, -1.0 / split.u)])
+    g = grad_mean(spec, ops, x, w, idx, labels, cache=cache, weights=weights)
+    return float(np.linalg.norm(g))
 
 
 def schedule_offset(p_const: float, alpha: float,
@@ -199,6 +205,12 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
             w0: np.ndarray | None = None) -> tuple[np.ndarray, TrainTrace]:
     """Train from w0 (or a fresh seeded init) and trace the trajectory.
 
+    A step reads only the logits of its drawn nodes, so it runs forward and
+    backward on their receptive ball (``PropOps.restrict``) when that ball
+    holds at most half the graph, and on the whole graph otherwise; a
+    whole-graph step right after a checkpoint reuses the checkpoint's
+    forward.  Checkpoints always evaluate the whole graph.
+
     Deterministic given (inputs, config.seed).  Aborts with a diagnostic if a
     checkpoint loss turns non-finite.
     """
@@ -219,14 +231,22 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     g_emp = 0.0
     max_dist = 0.0
 
+    full = None  # the checkpoint's whole-graph forward while w is unchanged
     for t in range(1, config.big_t + 1):
         eta = config.schedule.eta(t)
-        cache = forward(spec, ops, x, w)
         picks = train[draw.integers(0, split.m, size=config.batch_size)]
+        local = ops.restrict(picks)
+        if local is None:
+            step_ops, step_x, rows = ops, x, picks
+            cache = full if full is not None else forward(spec, ops, x, w)
+        else:
+            step_ops, ball = local
+            step_x, rows = x[ball], np.searchsorted(ball, picks)
+            cache = forward(spec, step_ops, step_x, w)
         gsum = np.zeros(layout.dim)
         sqrt_eta = np.sqrt(eta)
-        for j in picks:
-            g_j = grad_sample(spec, ops, x, w, int(j), int(labels[j]),
+        for j, r in zip(picks, rows):
+            g_j = grad_sample(spec, step_ops, step_x, w, int(r), int(labels[j]),
                               cache=cache)
             gsum += g_j
             g_emp = max(g_emp, sqrt_eta * float(np.linalg.norm(g_j)))
@@ -237,17 +257,18 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
             w = w - eta * g
         else:
             w = adam.step(w, g, eta)
+        full = None
         dist = float(np.linalg.norm(w - w_start))
         max_dist = max(max_dist, dist)
 
         if t % config.eval_every == 0 or t == config.big_t:
-            cache_t = forward(spec, ops, x, w)
+            full = forward(spec, ops, x, w)
             r_m, r_u, acc_m, acc_u = evaluate(spec, ops, x, labels, split, w,
-                                              cache=cache_t)
+                                              cache=full)
             if not (np.isfinite(r_m) and np.isfinite(r_u)):
                 raise FloatingPointError(
                     f"non-finite loss at step {t}: R_m={r_m}, R_u={r_u}")
-            gap = gradient_gap(spec, ops, x, labels, split, w, cache=cache_t)
+            gap = gradient_gap(spec, ops, x, labels, split, w, cache=full)
             trace.checkpoints.append(Checkpoint(
                 t=t, r_m=r_m, r_u=r_u, acc_m=acc_m, acc_u=acc_u,
                 grad_gap=gap, dist=dist, g_emp=g_emp))

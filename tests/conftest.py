@@ -15,16 +15,17 @@ from transgap.rng import stream
 PACKAGE_ROOT = Path(transgap.__file__).resolve().parents[1]
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, threads="1"):
     """Run ``python -m transgap.cli ARGS`` in a child process started in ``cwd``.
 
-    The child runs single-threaded (``TRANSGAP_THREADS=1``) and has
-    ``PACKAGE_ROOT`` in front of the inherited PYTHONPATH, so it imports the
-    same ``transgap`` as this process whatever its working directory is.
+    The child gets ``TRANSGAP_THREADS=threads`` (single-threaded by default)
+    and has ``PACKAGE_ROOT`` in front of the inherited PYTHONPATH, so it
+    imports the same ``transgap`` as this process whatever its working
+    directory is.
     """
     pythonpath = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, TRANSGAP_THREADS="1", PYTHONPATH=pythonpath)
+    env = dict(os.environ, TRANSGAP_THREADS=threads, PYTHONPATH=pythonpath)
     return subprocess.run([sys.executable, "-m", "transgap.cli"] + args,
                           capture_output=True, text=True, cwd=cwd, env=env)
 

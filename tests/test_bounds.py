@@ -168,3 +168,26 @@ class TestInitialBounds:
                                             int(bundle.labels[i])))
                  for i in range(10)]
         assert b_grad == pytest.approx(max(norms))
+
+    def test_diagnostics_from_the_same_scan(self):
+        from transgap.activations import ActivationSpec
+        from transgap.bounds import gradient_norm_diagnostics
+        from transgap.datasets import sbm_bundle
+        from transgap.gradients import grad_sample
+        from transgap.graphs import normalized_adjacency
+        from transgap.models import ModelSpec, PropOps, init_params
+
+        bundle = sbm_bundle([6, 5], 0.5, 0.2, seed=1, d=4)
+        spec = ModelSpec(arch="gcnii", d=4, h=3, num_classes=2,
+                         activation=ActivationSpec(q=2.0))
+        ops = PropOps(normalized_adjacency(bundle.graph), spec)
+        w1 = init_params(spec, 2)
+        scan = initial_bounds(spec, ops, bundle.x, bundle.labels, w1)
+        norms = np.array([np.linalg.norm(grad_sample(
+            spec, ops, bundle.x, w1, i, int(bundle.labels[i])))
+            for i in range(11)])
+        np.testing.assert_allclose(scan.norms, norms, rtol=1e-13)
+        assert scan.diagnostics() == gradient_norm_diagnostics(
+            spec, ops, bundle.x, bundle.labels, w1)
+        assert scan.diagnostics()["grad_sq_norm_mean"] == pytest.approx(
+            float(np.mean(norms ** 2)), rel=1e-12)

@@ -76,6 +76,16 @@ class TestExitCodes:
         assert res.returncode == 1
         assert "usage error: unknown model 'gat'" in res.stderr
 
+    @pytest.mark.parametrize("threads", ["two", "0", "-3", "1.5"])
+    def test_bad_thread_count_is_usage_error(self, threads, bundle_dir,
+                                             tmp_path):
+        res = run_cli(["experiment", "--data", str(bundle_dir), "--T", "2",
+                       "--out", str(tmp_path / "o")], tmp_path, threads=threads)
+        assert res.returncode == 1
+        assert ("usage error: TRANSGAP_THREADS must be a positive integer"
+                in res.stderr)
+        assert not (tmp_path / "o").exists()
+
     def test_gradcheck_pass_exit_zero(self, tmp_path):
         res = run_cli(["gradcheck", "--model", "sgc", "--instances", "3"],
                       tmp_path)

@@ -80,6 +80,21 @@ class TestNormalizedAdjacency:
         # exact equality: same left-to-right accumulation
         assert p.inf_norm == float(p.row_sums().max())
 
+    def test_row_sums_accumulate_left_to_right(self):
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 12, size=60)
+        row_ptr = np.concatenate([[0], np.cumsum(counts)])
+        values = rng.random(row_ptr[-1]) * rng.choice([1e-8, 1.0, 1e8],
+                                                      size=row_ptr[-1])
+        p = PropagationMatrix(n=60, row_ptr=row_ptr,
+                              col_idx=np.zeros(row_ptr[-1], dtype=np.int64),
+                              values=values)
+        expect = np.zeros(60)
+        for i in range(60):
+            for v in values[row_ptr[i]:row_ptr[i + 1]]:
+                expect[i] += v
+        assert np.array_equal(p.row_sums(), expect)
+
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             PropagationMatrix(n=1, row_ptr=np.array([0, 1]),
@@ -248,6 +263,25 @@ class TestSbm:
     def test_empty_block_list_rejected(self):
         with pytest.raises(ValueError):
             sbm_generate([], 0.5, 0.5, seed=0)
+
+    @pytest.mark.parametrize("chunk", [1, 37, 1 << 20])
+    def test_row_chunks_equal_one_dense_draw(self, chunk, monkeypatch):
+        import transgap.graphs as graphs
+        from transgap.rng import stream
+
+        monkeypatch.setattr(graphs, "_SBM_CHUNK", chunk)
+        for sizes in ([8, 7], [100, 100]):
+            for seed in (0, 3, 7):
+                g, labels = sbm_generate(sizes, 0.2, 0.05, seed=seed)
+                # the one-shot formula: one (n, n) draw, upper triangle
+                n = sum(sizes)
+                u = stream(seed, "sbm").random((n, n))
+                prob = np.where(labels[:, None] == labels[None, :], 0.2, 0.05)
+                iu, ju = np.triu_indices(n, k=1)
+                mask = u[iu, ju] < prob[iu, ju]
+                expect = build_graph(np.column_stack([iu[mask], ju[mask]]), n)
+                assert np.array_equal(g.row_ptr, expect.row_ptr)
+                assert np.array_equal(g.col_idx, expect.col_idx)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), p_in=st.floats(0, 1),

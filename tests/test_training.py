@@ -3,7 +3,7 @@ import pytest
 
 from transgap.activations import ActivationSpec
 from transgap.datasets import Split, make_split, sbm_bundle
-from transgap.gradients import grad_sample
+from transgap.gradients import grad_mean, grad_sample
 from transgap.graphs import build_graph, normalized_adjacency
 from transgap.models import ForwardCache, ModelSpec, PropOps, init_params
 from transgap.training import (LrSchedule, SgdConfig, TrainTrace, evaluate,
@@ -174,6 +174,18 @@ class TestGradientGap:
                           for i in split.test_idx], axis=0)
         expect = float(np.linalg.norm(g_train - g_test))
         assert got == pytest.approx(expect, abs=1e-12)
+
+
+    @pytest.mark.parametrize("arch", ["gcn", "gcnii", "sgc", "appnp",
+                                      "gprgnn"])
+    def test_one_signed_backward_matches_two_means(self, arch):
+        spec, ops, x, labels, split = tiny_setup(arch=arch, n_blocks=(7, 6))
+        w = init_params(spec, 5)
+        g_train = grad_mean(spec, ops, x, w, split.train_idx, labels)
+        g_test = grad_mean(spec, ops, x, w, split.test_idx, labels)
+        expect = float(np.linalg.norm(g_train - g_test))
+        got = gradient_gap(spec, ops, x, labels, split, w)
+        assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 class TestScheduleOffset:
