@@ -15,10 +15,9 @@ Library layout:
 """
 
 from .activations import ActivationSpec, act_deriv, act_eval
-from .bounds import (BoundInputs, BoundReport, InitialBounds,
-                     complexity_upper, concentration_terms, excess_risk_rate,
-                     gap_certificate, gradient_norm_diagnostics,
-                     initial_bounds, rate_factor)
+from .bounds import (BoundInputs, BoundReport, complexity_upper,
+                     concentration_terms, excess_risk_rate, gap_certificate,
+                     gradient_norm_diagnostics, initial_bounds, rate_factor)
 from .constants import (ConstantsReport, compute_cw, compute_cx,
                         constants_report, gradient_smoothness, loss_lipschitz,
                         measure_norms, spectral_norm)

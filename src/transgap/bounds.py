@@ -159,39 +159,13 @@ def gap_certificate(inputs: BoundInputs) -> BoundReport:
                        rate_value=rate_factor(inputs.alpha, inputs.big_t))
 
 
-@dataclass(frozen=True)
-class InitialBounds:
-    """Scan of every node at the initial weights.
-
-    ``b_loss`` and ``b_grad`` are the exact maxima of the per-node loss and
-    gradient norm; ``norms`` holds every per-node gradient norm, so the
-    diagnostics need no second scan.  Unpacks as ``(b_loss, b_grad)``.
-    """
-
-    b_loss: float
-    norms: np.ndarray
-
-    @property
-    def b_grad(self) -> float:
-        return float(self.norms.max())
-
-    def __iter__(self):
-        return iter((self.b_loss, self.b_grad))
-
-    def diagnostics(self) -> dict:
-        """Empirical means of the per-node gradient norm and its square.
-
-        The variance-style condition is stated with an unsquared norm against
-        a squared constant; both moments are reported so neither reading is
-        silently chosen.
-        """
-        return {"grad_norm_mean": float(self.norms.mean()),
-                "grad_sq_norm_mean": float((self.norms ** 2).mean())}
-
-
 def initial_bounds(spec, ops, x: np.ndarray, labels: np.ndarray,
-                   w1: np.ndarray) -> InitialBounds:
-    """One gradient scan of all n nodes at the initial weights."""
+                   w1: np.ndarray, return_norms: bool = False) -> tuple:
+    """(b_loss, b_grad): exact maxima over all n nodes at the initial weights.
+
+    With ``return_norms`` the per-node gradient norms of the same scan come
+    third, for ``gradient_norm_diagnostics``.
+    """
     from .gradients import grad_sample
     from .models import forward
     from .training import node_losses
@@ -203,10 +177,16 @@ def initial_bounds(spec, ops, x: np.ndarray, labels: np.ndarray,
     for i in range(ops.n):
         g = grad_sample(spec, ops, x, w1, i, int(labels[i]), cache=cache)
         norms[i] = np.linalg.norm(g)
-    return InitialBounds(b_loss=b_loss, norms=norms)
+    b_grad = float(norms.max())
+    return (b_loss, b_grad, norms) if return_norms else (b_loss, b_grad)
 
 
-def gradient_norm_diagnostics(spec, ops, x: np.ndarray, labels: np.ndarray,
-                              w1: np.ndarray) -> dict:
-    """``InitialBounds.diagnostics`` of a fresh scan."""
-    return initial_bounds(spec, ops, x, labels, w1).diagnostics()
+def gradient_norm_diagnostics(norms: np.ndarray) -> dict:
+    """Empirical means of the per-node gradient norm and its square.
+
+    The variance-style condition is stated with an unsquared norm against a
+    squared constant; both moments are reported so neither reading is
+    silently chosen.
+    """
+    return {"grad_norm_mean": float(norms.mean()),
+            "grad_sq_norm_mean": float((norms ** 2).mean())}

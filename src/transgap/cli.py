@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundInputs, gap_certificate, initial_bounds
+from .bounds import (BoundInputs, gap_certificate, gradient_norm_diagnostics,
+                     initial_bounds)
 from .constants import constants_report
 from .datasets import BundleFormatError, load_bundle, make_split, sbm_bundle, save_bundle
 from .experiments import (MODEL_CHOICES, ExperimentConfig, canonical_json,
@@ -309,9 +310,9 @@ def _analyze_one(bundle, args, model: str) -> dict:
                            w0=w1)
         radius = trace.max_dist
 
-    scan = initial_bounds(spec, ops, bundle.x, bundle.labels, w1)
-    b_loss, b_grad = scan
-    diag = scan.diagnostics()
+    b_loss, b_grad, norms = initial_bounds(spec, ops, bundle.x, bundle.labels,
+                                           w1, return_norms=True)
+    diag = gradient_norm_diagnostics(norms)
     alpha_rate = args.alpha_rate if args.alpha_rate is not None else spec.activation.alpha_tilde
     inputs = BoundInputs(m=split.m, u=split.u, dim=init_params(spec, 0).size,
                          big_t=args.big_t, delta=args.delta, alpha=alpha_rate,

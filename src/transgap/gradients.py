@@ -1,13 +1,10 @@
 """Analytic per-sample gradients, batched mean gradients, and an FD oracle.
 
 ``grad_sample`` returns the exact gradient of one node's cross-entropy with
-respect to the flat parameter vector.  For gcn and gcnii it runs the one
-backward pass of the architecture from a one-row error matrix, on the
-node's receptive ball (``PropOps.restrict``) once the graph has
-``BALL_BACKWARD_MIN_NODES`` nodes; for sgc, appnp and gprgnn it assembles
-closed-form row expressions (outer products filled into the column-major
-layout).  ``grad_mean`` computes the mean (or any weighted sum) of
-per-sample gradients over an index multiset with the same backward pass; it
+respect to the flat parameter vector, assembled from closed-form chain-rule
+expressions (outer products filled into the column-major layout).
+``grad_mean`` computes the mean (or any weighted sum) of per-sample
+gradients over an index multiset with one vectorized backward pass; it
 agrees with averaging per-sample gradients up to float64 rounding.
 ``fd_gradient`` is the independent central-difference oracle used by the
 test suite and the gradcheck command.
@@ -18,16 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .activations import act_deriv
-from .graphs import gpr_powers
 from .models import (ForwardCache, ModelSpec, PropOps, forward, gcnii_psi,
                      layout_for, loss_sample)
-
-
-# Graph size from which a per-node gradient of gcn or gcnii runs its backward
-# pass on the node's receptive ball.  Setting up the ball costs a few hundred
-# microseconds; on a 2-vCPU x86-64 machine the ball wins from about 300
-# (gcnii) and 700 (gcn) nodes, with balls of 10-30% of the graph.
-BALL_BACKWARD_MIN_NODES = 1024
 
 
 def _error_row(cache: ForwardCache, i: int, label: int) -> np.ndarray:
@@ -48,22 +37,21 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     g = np.zeros(layout.dim)
     err = _error_row(cache, i, label)
 
-    if spec.arch in ("gcn", "gcnii"):
-        # The error of row i reaches only its receptive ball, whose cached
-        # rows are all the backward pass reads.
-        local = (ops.restrict(np.array([i]))
-                 if ops.n >= BALL_BACKWARD_MIN_NODES else None)
-        if local is not None:
-            ops, ball = local
-            x, cache = x[ball], cache.rows(ball)
-            i = int(np.searchsorted(ball, i))
+    if spec.arch == "gcn" and spec.depth == 2:
+        w2 = mats["W2"]
+        layout.view(g, "W2")[...] = np.outer(cache.z_last[i], err)
+        u = err @ w2.T
+        nbr, a = ops.p.row(i)
+        z1, sp1 = cache.zs[0], act_deriv(act, cache.pres[0][nbr])
+        layout.view(g, "W1")[...] = (z1[nbr].T @ (a[:, None] * sp1)) * u[None, :]
+    elif spec.arch == "gcn":
         delta = np.zeros((ops.n, spec.num_classes))
         delta[i] = err
-        _backward(spec, ops, x, cache, layout, mats, g, delta)
+        _gcn_backward(spec, ops, cache, layout, mats, g, delta)
     elif spec.arch == "sgc":
         layout.view(g, "W2")[...] = np.outer(cache.zw1[i], err)
         layout.view(g, "W1")[...] = np.outer(cache.z[i], err @ mats["W2"].T)
-    else:  # appnp, gprgnn
+    elif spec.arch in ("appnp", "gprgnn"):
         if spec.arch == "appnp":
             g_row = ops.appnp_row(i)
         else:
@@ -78,6 +66,29 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         back = (sp2 * err[None, :]) @ mats["W2"].T
         sp1 = act_deriv(act, cache.pre1)
         layout.view(g, "W1")[...] = x.T @ (g_row[:, None] * sp1 * back)
+    elif spec.arch == "gcnii" and spec.depth == 2:
+        alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
+        w_out = mats["W3"]
+        layout.view(g, "W3")[...] = np.outer(cache.hs[2][i], err)
+        delta = (err @ w_out.T) * act_deriv(act, cache.pres[2][i])
+        layout.view(g, "W2")[...] = betas[1] * np.outer(cache.aggs[1][i], delta)
+        u2 = delta @ gcnii_psi(spec, mats, 2).T
+        nbr, a = ops.p.row(i)
+        dij = (1.0 - alphas[1]) * act_deriv(act, cache.pres[1][nbr]) * u2[None, :]
+        layout.view(g, "W1")[...] = betas[0] * (
+            cache.aggs[0][nbr].T @ (a[:, None] * dij))
+        gh0 = np.zeros((ops.n, spec.h))
+        gh0[i] += alphas[1] * u2
+        v = dij @ gcnii_psi(spec, mats, 1).T
+        gh0[nbr] += alphas[0] * a[:, None] * v
+        scatter = np.zeros((ops.n, spec.h))
+        scatter[nbr] = a[:, None] * v
+        gh0 += (1.0 - alphas[0]) * ops.propagate(scatter)
+        layout.view(g, "W0")[...] = x.T @ (act_deriv(act, cache.pres[0]) * gh0)
+    else:  # gcnii, deeper stacks
+        delta = np.zeros((ops.n, spec.num_classes))
+        delta[i] = err
+        _gcnii_backward(spec, ops, x, cache, layout, mats, g, delta)
     return g
 
 
@@ -127,6 +138,8 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     if cache is None:
         cache = forward(spec, ops, x, w)
     layout = layout_for(spec)
+    mats = layout.matrices(w)
+    act = spec.activation
     g = np.zeros(layout.dim)
 
     delta = np.zeros((ops.n, spec.num_classes))
@@ -134,13 +147,7 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     err[np.arange(idx.size), labels[idx]] -= 1.0
     np.add.at(delta, idx,
               err / idx.size if weights is None else err * weights[:, None])
-    _backward(spec, ops, x, cache, layout, layout.matrices(w), g, delta)
-    return g
 
-
-def _backward(spec, ops, x, cache, layout, mats, g, delta):
-    """Gradient of sum_j <delta_j, logits_j> into g, for any architecture."""
-    act = spec.activation
     if spec.arch == "gcn":
         _gcn_backward(spec, ops, cache, layout, mats, g, delta)
     elif spec.arch == "sgc":
@@ -153,6 +160,7 @@ def _backward(spec, ops, x, cache, layout, mats, g, delta):
             gg = layout.view(g, "gamma")
             for k in range(spec.big_k + 1):
                 gg[k] = float(np.sum(delta * cache.stack[k]))
+            from .graphs import gpr_powers
             dstack = gpr_powers(ops.p, delta, spec.big_k)
             dh = np.tensordot(mats["gamma"], dstack, axes=(0, 0))
         dpre2 = dh * act_deriv(act, cache.pre2)
@@ -161,6 +169,7 @@ def _backward(spec, ops, x, cache, layout, mats, g, delta):
         layout.view(g, "W1")[...] = x.T @ dpre1
     else:  # gcnii
         _gcnii_backward(spec, ops, x, cache, layout, mats, g, delta)
+    return g
 
 
 def central_differences(fn, w: np.ndarray, step: float) -> np.ndarray:

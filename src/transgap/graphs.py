@@ -167,6 +167,11 @@ class PropagationMatrix:
     def row_sums(self) -> np.ndarray:
         return _ltr_row_sums(self.row_ptr, self.values, self.n)
 
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(neighbor indices, values) of row i."""
+        s, e = self.row_ptr[i], self.row_ptr[i + 1]
+        return self.col_idx[s:e], self.values[s:e]
+
     def induced(self, nodes: np.ndarray) -> "PropagationMatrix":
         """Rows and columns ``nodes`` (sorted, distinct) of this operator.
 

@@ -35,6 +35,13 @@ from .rng import stream
 
 ARCHITECTURES = ("gcn", "gcnii", "sgc", "appnp", "gprgnn")
 
+# Graphs below this size run every training step on the whole graph: finding
+# and slicing a receptive ball costs a few hundred microseconds, as much as a
+# whole-graph gcn or sgc step on a graph of a few hundred nodes.  The 200-node
+# paper-small benchmark workload sits below it, the 6000-node scale-6k
+# workload above it.
+BALL_MIN_NODES = 1000
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -231,12 +238,14 @@ class PropOps:
 
         Returns the helpers for the rows and columns of P inside the ball
         (values kept, not renormalized) and the sorted ball nodes, or None
-        when the architecture has no small ball or the ball holds more than
-        half the graph.  Logits of ``idx`` on the sub-problem, and every
-        gradient read from them, equal their whole-graph values.
+        when the whole graph is the cheaper choice: the architecture has no
+        small ball, the graph has fewer than ``BALL_MIN_NODES`` nodes, or
+        the ball holds more than half of them.  Logits of ``idx`` on the
+        sub-problem, and every gradient read from them, equal their
+        whole-graph values.
         """
         hops = self.spec.receptive_hops()
-        if hops is None:
+        if hops is None or self.n < BALL_MIN_NODES:
             return None
         ball = hop_ball(self.p, idx, hops, limit=self.n / 2)
         if ball is None:
@@ -257,13 +266,6 @@ class ForwardCache:
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
-
-    def rows(self, idx: np.ndarray) -> "ForwardCache":
-        """The cached rows of the nodes ``idx`` (gcn, sgc and gcnii caches,
-        whose arrays, alone or in lists, all have one row per node)."""
-        return ForwardCache(**{
-            key: [a[idx] for a in val] if isinstance(val, list) else val[idx]
-            for key, val in self.__dict__.items()})
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -206,10 +206,10 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     """Train from w0 (or a fresh seeded init) and trace the trajectory.
 
     A step reads only the logits of its drawn nodes, so it runs forward and
-    backward on their receptive ball (``PropOps.restrict``) when that ball
-    holds at most half the graph, and on the whole graph otherwise; a
-    whole-graph step right after a checkpoint reuses the checkpoint's
-    forward.  Checkpoints always evaluate the whole graph.
+    backward on their receptive ball when ``PropOps.restrict`` finds the
+    ball cheaper, and on the whole graph otherwise; a whole-graph step right
+    after a checkpoint reuses the checkpoint's forward.  Checkpoints always
+    evaluate the whole graph.
 
     Deterministic given (inputs, config.seed).  Aborts with a diagnostic if a
     checkpoint loss turns non-finite.

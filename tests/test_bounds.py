@@ -182,12 +182,18 @@ class TestInitialBounds:
                          activation=ActivationSpec(q=2.0))
         ops = PropOps(normalized_adjacency(bundle.graph), spec)
         w1 = init_params(spec, 2)
-        scan = initial_bounds(spec, ops, bundle.x, bundle.labels, w1)
+        b_loss, b_grad, scan = initial_bounds(spec, ops, bundle.x,
+                                              bundle.labels, w1,
+                                              return_norms=True)
         norms = np.array([np.linalg.norm(grad_sample(
             spec, ops, bundle.x, w1, i, int(bundle.labels[i])))
             for i in range(11)])
-        np.testing.assert_allclose(scan.norms, norms, rtol=1e-13)
-        assert scan.diagnostics() == gradient_norm_diagnostics(
-            spec, ops, bundle.x, bundle.labels, w1)
-        assert scan.diagnostics()["grad_sq_norm_mean"] == pytest.approx(
+        np.testing.assert_allclose(scan, norms, rtol=1e-13)
+        assert (b_loss, b_grad) == initial_bounds(spec, ops, bundle.x,
+                                                  bundle.labels, w1)
+        assert b_grad == float(scan.max())
+        diag = gradient_norm_diagnostics(scan)
+        assert diag["grad_norm_mean"] == pytest.approx(float(np.mean(norms)),
+                                                       rel=1e-12)
+        assert diag["grad_sq_norm_mean"] == pytest.approx(
             float(np.mean(norms ** 2)), rel=1e-12)

@@ -5,25 +5,29 @@ import pytest
 
 from transgap.activations import ActivationSpec
 from transgap.datasets import Split
-from transgap.gradients import BALL_BACKWARD_MIN_NODES, grad_mean, grad_sample
+from transgap.gradients import grad_mean, grad_sample
 from transgap.graphs import (PropagationMatrix, build_graph, hop_ball,
                              normalized_adjacency)
-from transgap.models import ModelSpec, PropOps, forward, init_params
+from transgap.models import (BALL_MIN_NODES, ModelSpec, PropOps, forward,
+                             init_params)
 from transgap.rng import stream
 from transgap.training import LrSchedule, SgdConfig, evaluate, run_sgd
 
 LOCAL_ARCHS = [("gcn", 2), ("gcn", 6), ("sgc", 2), ("gcnii", 2), ("gcnii", 6)]
-RING = 40
+RING = BALL_MIN_NODES
+TRIANGLE = (RING, RING + 1, RING + 2)
+ISOLATED = RING + 3
 
 
-def ring_graph():
-    """A 40-node ring (0..39), a separate triangle (40, 41, 42) and an
-    isolated node (43): the 6-hop ball of a ring node (13 nodes) is well
-    under half the graph, a triangle ball stops growing after one hop, and
-    the isolated node's ball is the node itself."""
-    edges = [(i, (i + 1) % RING) for i in range(RING)]
-    edges += [(40, 41), (41, 42), (40, 42)]
-    return build_graph(edges, RING + 4)
+def ring_graph(ring=RING):
+    """A ring (0..ring-1), a separate triangle (ring..ring+2) and an isolated
+    node (ring+3): the 6-hop ball of a ring node (13 nodes) is well under
+    half the graph, a triangle ball stops growing after one hop, and the
+    isolated node's ball is the node itself."""
+    a, b, c = ring, ring + 1, ring + 2
+    edges = [(i, (i + 1) % ring) for i in range(ring)]
+    edges += [(a, b), (b, c), (a, c)]
+    return build_graph(edges, ring + 4)
 
 
 def make_spec(arch, depth, d=3, h=4, c=3):
@@ -31,8 +35,8 @@ def make_spec(arch, depth, d=3, h=4, c=3):
                      activation=ActivationSpec(q=2.0), big_k=3, depth=depth)
 
 
-def instance(arch, depth, seed=0):
-    g = ring_graph()
+def instance(arch, depth, seed=0, ring=RING):
+    g = ring_graph(ring)
     spec = make_spec(arch, depth)
     ops = PropOps(normalized_adjacency(g), spec)
     rng = np.random.default_rng(seed)
@@ -56,16 +60,19 @@ class TestBall:
 
     def test_ball_stops_growing_before_the_last_hop(self):
         p = normalized_adjacency(ring_graph())
-        assert hop_ball(p, np.array([41]), 6, limit=p.n).tolist() == [40, 41, 42]
+        assert hop_ball(p, np.array([RING + 1]), 6,
+                        limit=p.n).tolist() == list(TRIANGLE)
 
     def test_isolated_node(self):
         p = normalized_adjacency(ring_graph())
-        assert hop_ball(p, np.array([43]), 6, limit=p.n).tolist() == [43]
+        assert hop_ball(p, np.array([ISOLATED]), 6,
+                        limit=p.n).tolist() == [ISOLATED]
 
     def test_union_of_seeds(self):
         p = normalized_adjacency(ring_graph())
-        ball = hop_ball(p, np.array([43, 10, 10, 41]), 1, limit=p.n)
-        assert ball.tolist() == [9, 10, 11, 40, 41, 42, 43]
+        ball = hop_ball(p, np.array([ISOLATED, 10, 10, RING + 1]), 1,
+                        limit=p.n)
+        assert ball.tolist() == [9, 10, 11, *TRIANGLE, ISOLATED]
 
     def test_limit(self):
         p = normalized_adjacency(ring_graph())
@@ -74,7 +81,7 @@ class TestBall:
 
     def test_induced_keeps_values(self):
         p = normalized_adjacency(ring_graph())
-        ball = np.array([0, 1, 2, 39, 40, 41])
+        ball = np.array([0, 1, 2, RING - 1, RING, RING + 1])
         sub = p.induced(ball)
         expect = p.to_scipy()[ball][:, ball].toarray()
         assert np.array_equal(sub.to_scipy().toarray(), expect)
@@ -90,7 +97,7 @@ class TestRestrict:
         spec, ops, x, labels, w = instance(arch, depth)
         full = forward(spec, ops, x, w)
         # ring nodes, the triangle (ball stops growing) and the isolated node
-        for i in (0, 7, 39, 40, 42, 43):
+        for i in (0, 7, RING - 1, RING, RING + 2, ISOLATED):
             sub_ops, ball = ops.restrict(np.array([i]))
             assert ball.size < ops.n / 2
             r = int(np.searchsorted(ball, i))
@@ -113,22 +120,35 @@ class TestRestrict:
     @pytest.mark.parametrize("arch", ["appnp", "gprgnn"])
     def test_filter_models_stay_whole_graph(self, arch):
         spec, ops, _, _, _ = instance(arch, 2)
-        assert ops.restrict(np.array([43])) is None
+        assert ops.restrict(np.array([ISOLATED])) is None
+
+    @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
+    def test_small_graphs_stay_whole_graph(self, arch, depth):
+        # the isolated node's ball is the node itself, yet a graph of fewer
+        # than BALL_MIN_NODES nodes always runs on the whole graph
+        for ring, local in ((BALL_MIN_NODES - 5, False),
+                            (BALL_MIN_NODES - 4, True)):
+            _, ops, _, _, _ = instance(arch, depth, ring=ring)
+            assert ops.n == ring + 4
+            got = ops.restrict(np.array([ring + 3]))
+            assert (got is not None) == local
 
     def test_fallback_above_half_the_nodes(self):
-        # two components of two nodes: a 1-hop ball of 2 = n/2 stays local,
-        # the path 0-1-2 plus a spare node puts 3 of 4 in the ball
-        spec = make_spec("gcn", 2)
-        pairs = PropOps(normalized_adjacency(build_graph([(0, 1), (2, 3)], 4)),
-                        spec)
-        assert pairs.restrict(np.array([0]))[1].tolist() == [0, 1]
-        path = PropOps(normalized_adjacency(build_graph([(0, 1), (1, 2)], 4)),
-                       spec)
-        assert path.restrict(np.array([0])) is None
-        assert path.restrict(np.array([3]))[1].tolist() == [3]
+        # a star whose 1-hop ball is exactly n/2 nodes stays local; one more
+        # leaf puts n/2 + 1 nodes in the ball
+        n, spec = 2 * BALL_MIN_NODES, make_spec("gcn", 2)
+        for leaves, local in ((n // 2 - 1, True), (n // 2, False)):
+            star = build_graph([(0, k) for k in range(1, leaves + 1)], n)
+            ops = PropOps(normalized_adjacency(star), spec)
+            got = ops.restrict(np.array([0]))
+            assert (got is not None) == local
+            if local:
+                assert got[1].tolist() == list(range(n // 2))
+            assert ops.restrict(np.array([n - 1]))[1].tolist() == [n - 1]
         # a batch whose union covers more than half the ring falls back too
         _, ring, _, _, _ = instance("gcn", 6)
-        assert ring.restrict(np.array([0, 20])) is None
+        assert ring.restrict(np.array([0]))[1].size == 13
+        assert ring.restrict(np.arange(0, RING, 20)) is None
 
 
 def whole_graph_sgd(spec, ops, x, labels, split, config):
@@ -163,7 +183,7 @@ class TestRunSgdOnBalls:
     @pytest.mark.parametrize("batch", [1, 2])
     def test_trace_matches_whole_graph_loop(self, arch, depth, batch):
         spec, ops, x, labels, _ = instance(arch, depth, seed=4)
-        train = np.array([0, 3, 9, 17, 25, 33, 41, 43])
+        train = np.array([0, 3, 9, 17, 25, 33, RING + 1, ISOLATED])
         split = Split(train_idx=train,
                       test_idx=np.setdiff1d(np.arange(ops.n), train))
         config = SgdConfig(big_t=14, seed=2, batch_size=batch,
@@ -177,26 +197,3 @@ class TestRunSgdOnBalls:
             got = (cp.r_m, cp.r_u, cp.acc_m, cp.acc_u, cp.grad_gap, cp.dist,
                    cp.g_emp)
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
-
-
-class TestGradSampleOnLargeGraphs:
-    """From BALL_BACKWARD_MIN_NODES nodes on, ``grad_sample`` runs the
-    backward pass on the node's ball, reading rows of a whole-graph cache."""
-
-    @pytest.mark.parametrize("arch,depth", [("gcn", 2), ("gcn", 6),
-                                            ("gcnii", 2), ("gcnii", 6)])
-    def test_matches_whole_graph_backward(self, arch, depth):
-        n = BALL_BACKWARD_MIN_NODES + 8
-        g = build_graph([(i, (i + 1) % (n - 1)) for i in range(n - 1)], n)
-        spec = make_spec(arch, depth)
-        ops = PropOps(normalized_adjacency(g), spec)
-        rng = np.random.default_rng(3)
-        x = 2.0 * rng.normal(size=(n, spec.d))
-        labels = rng.integers(0, spec.num_classes, size=n)
-        w = init_params(spec, 3)
-        cache = forward(spec, ops, x, w)
-        for i in (0, 500, n - 1):  # n - 1 is isolated
-            got = grad_sample(spec, ops, x, w, i, int(labels[i]), cache=cache)
-            # grad_mean of one node: the backward pass over the whole graph
-            expect = grad_mean(spec, ops, x, w, np.array([i]), labels, cache)
-            assert rel_err(got, expect) <= 1e-12

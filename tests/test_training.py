@@ -175,7 +175,6 @@ class TestGradientGap:
         expect = float(np.linalg.norm(g_train - g_test))
         assert got == pytest.approx(expect, abs=1e-12)
 
-
     @pytest.mark.parametrize("arch", ["gcn", "gcnii", "sgc", "appnp",
                                       "gprgnn"])
     def test_one_signed_backward_matches_two_means(self, arch):
