@@ -44,16 +44,31 @@ class ActivationSpec:
 
 
 def act_eval(a: ActivationSpec, x: np.ndarray) -> np.ndarray:
-    """Elementwise activation value."""
+    """Elementwise activation value, clip(x, 0, t)^q + max(x - t, 0).
+
+    Beyond the knee t^q equals c, so this is the shifted identity there.
+    Branch-free and computed in place in two arrays (max(x, 0) - clip(x, 0,
+    t) is max(x - t, 0) exactly); 0-d input gives a 0-d array.
+    """
     x = np.asarray(x, dtype=np.float64)
-    mid = np.clip(x, 0.0, a.t)
-    out = mid ** a.q
-    return np.where(x > a.t, x - a.t + a.c, out)
+    tail = np.maximum(x, 0.0, out=np.empty_like(x))
+    out = np.minimum(tail, a.t, out=np.empty_like(x))
+    tail -= out
+    out **= a.q
+    out += tail
+    return out
 
 
 def act_deriv(a: ActivationSpec, x: np.ndarray) -> np.ndarray:
-    """Elementwise activation derivative (0, q x^(q-1), or 1)."""
+    """Elementwise activation derivative (0, q x^(q-1), or 1).
+
+    Computed as (clip(x, 0, t) / t)^(q-1), which equals q clip(x, 0, t)^(q-1)
+    because q t^(q-1) = 1: the base is at most 1, so the derivative never
+    exceeds 1 and is exactly 1 from the knee on, whatever the rounding of t.
+    """
     x = np.asarray(x, dtype=np.float64)
-    mid = np.clip(x, 0.0, a.t)
-    out = a.q * mid ** (a.q - 1.0)
-    return np.where(x > a.t, 1.0, out)
+    out = np.maximum(x, 0.0, out=np.empty_like(x))
+    np.minimum(out, a.t, out=out)
+    out /= a.t
+    out **= a.q - 1.0
+    return out

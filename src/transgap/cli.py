@@ -218,42 +218,79 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_dest_map(parser: argparse.ArgumentParser) -> dict[str, str]:
-    """Map flag spellings (without dashes) to namespace destinations."""
-    table: dict[str, str] = {}
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-                continue
-            for opt in action.option_strings:
-                table[opt.lstrip("-").replace("-", "_")] = action.dest
-            table.setdefault(action.dest, action.dest)
+def _flag_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Map flag spellings and destinations (dashes as underscores, no leading
+    dashes) to the value-taking actions of one parser."""
+    table: dict[str, argparse.Action] = {}
+    for action in parser._actions:
+        if isinstance(action, (argparse._SubParsersAction, argparse._HelpAction)):
+            continue
+        for opt in action.option_strings:
+            table[opt.lstrip("-").replace("-", "_")] = action
+        table.setdefault(action.dest, action)
     return table
+
+
+def _config_value(key: str, action: argparse.Action, value):
+    """A --config value converted and checked as the flag's own parser would."""
+    if action.nargs == 0:  # an on/off switch
+        if not isinstance(value, bool):
+            raise UsageError(f"--config {key}: expected true or false, "
+                             f"got {value!r}")
+        return value
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, (bool, list, dict)) or value is None:
+        raise UsageError(f"--config {key}: expected a single value, "
+                         f"got {value!r}")
+    try:
+        out = (action.type or str)(str(value))
+    except (TypeError, ValueError):
+        name = getattr(action.type, "__name__", "valid")
+        raise UsageError(f"--config {key}: invalid {name} value "
+                         f"{value!r}") from None
+    if action.choices is not None and out not in action.choices:
+        raise UsageError(f"--config {key}: {out!r} is not one of "
+                         f"{', '.join(map(str, action.choices))}")
+    return out
 
 
 def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
                   args: argparse.Namespace) -> argparse.Namespace:
-    """Apply --config JSON values under explicitly provided flags."""
+    """Apply --config JSON values under explicitly provided flags.
+
+    Each value is converted and checked like the same flag on the command
+    line.  A key that names a flag of another subcommand only is ignored; a
+    key that names no flag at all is a usage error.
+    """
     if not args.config:
         return args
     try:
         cfg = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad --config file: {exc}") from None
-    table = _flag_dest_map(parser)
+    if not isinstance(cfg, dict):
+        raise UsageError("bad --config file: expected a JSON object")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    active = _flag_actions(parser) | _flag_actions(sub.choices[args.command])
+    known = set(active)
+    for other in sub.choices.values():
+        known.update(_flag_actions(other))
     explicit = set()
     for token in argv:
         if token.startswith("--"):
             name = token.split("=")[0].lstrip("-").replace("-", "_")
-            explicit.add(table.get(name, name))
+            if name in active:
+                explicit.add(active[name].dest)
     for key, value in cfg.items():
-        dest = table.get(key.replace("-", "_"), key.replace("-", "_"))
-        if dest in explicit or not hasattr(args, dest):
+        name = key.lstrip("-").replace("-", "_")
+        if name not in known:
+            raise UsageError(f"--config key {key!r} names no flag")
+        action = active.get(name)
+        if action is None or action.dest in explicit or action.dest == "config":
             continue
-        setattr(args, dest, value)
+        setattr(args, action.dest, _config_value(key, action, value))
     return args
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .activations import act_deriv
+from .graphs import gpr_powers
 from .models import (ForwardCache, ModelSpec, PropOps, forward, gcnii_psi,
-                     layout_for, loss_sample)
+                     layout_for, loss_sample, softmax_rows)
 
 
 def _error_row(cache: ForwardCache, i: int, label: int) -> np.ndarray:
@@ -35,6 +36,9 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     mats = layout.matrices(w)
     act = spec.activation
     g = np.zeros(layout.dim)
+    if spec.arch in ("appnp", "gprgnn"):
+        _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label)
+        return g
     err = _error_row(cache, i, label)
 
     if spec.arch == "gcn" and spec.depth == 2:
@@ -51,21 +55,6 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     elif spec.arch == "sgc":
         layout.view(g, "W2")[...] = np.outer(cache.zw1[i], err)
         layout.view(g, "W1")[...] = np.outer(cache.z[i], err @ mats["W2"].T)
-    elif spec.arch in ("appnp", "gprgnn"):
-        if spec.arch == "appnp":
-            g_row = ops.appnp_row(i)
-        else:
-            rows = ops.power_row(i, spec.big_k)
-            g_row = mats["gamma"] @ rows
-            gg = layout.view(g, "gamma")
-            for k in range(spec.big_k + 1):
-                gg[k] = err @ cache.stack[k][i]
-        sp2 = act_deriv(act, cache.pre2)
-        weighted2 = g_row[:, None] * sp2
-        layout.view(g, "W2")[...] = (cache.s1.T @ weighted2) * err[None, :]
-        back = (sp2 * err[None, :]) @ mats["W2"].T
-        sp1 = act_deriv(act, cache.pre1)
-        layout.view(g, "W1")[...] = x.T @ (g_row[:, None] * sp1 * back)
     elif spec.arch == "gcnii" and spec.depth == 2:
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
         w_out = mats["W3"]
@@ -90,6 +79,36 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         delta[i] = err
         _gcnii_backward(spec, ops, x, cache, layout, mats, g, delta)
     return g
+
+
+def _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label):
+    """Per-sample backward of appnp / gprgnn from row i of the filter.
+
+    Node i's logits are that row times the MLP output h (for gprgnn, the
+    gamma-weighted rows of P^k), so no whole-graph product is needed.  With
+    v = row * sigma'(pre2) * err, the W1 block is
+    sum_c ((x * v_c)^T sigma'(pre1)) * W2[:, c], which keeps every n-row
+    temporary c or d columns wide.
+    """
+    h = cache.h
+    if spec.arch == "appnp":
+        row = ops.appnp_row(i)
+        logits = row @ h
+    else:
+        rows = ops.power_row(i, spec.big_k)
+        hop_logits = rows @ h  # row i of P^k h, k = 0..K
+        row = mats["gamma"] @ rows
+        logits = mats["gamma"] @ hop_logits
+    err = softmax_rows(logits)
+    err[label] -= 1.0
+    if spec.arch == "gprgnn":
+        layout.view(g, "gamma")[...] = hop_logits @ err
+    v = row[:, None] * cache.sp2
+    v *= err
+    layout.view(g, "W2")[...] = cache.s1.T @ v
+    gw1, w2 = layout.view(g, "W1"), mats["W2"]
+    for c in range(spec.num_classes):
+        gw1 += ((x * v[:, c:c + 1]).T @ cache.sp1) * w2[:, c]
 
 
 def _gcn_backward(spec, ops, cache, layout, mats, g, delta):
@@ -139,7 +158,6 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         cache = forward(spec, ops, x, w)
     layout = layout_for(spec)
     mats = layout.matrices(w)
-    act = spec.activation
     g = np.zeros(layout.dim)
 
     delta = np.zeros((ops.n, spec.num_classes))
@@ -160,12 +178,11 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             gg = layout.view(g, "gamma")
             for k in range(spec.big_k + 1):
                 gg[k] = float(np.sum(delta * cache.stack[k]))
-            from .graphs import gpr_powers
             dstack = gpr_powers(ops.p, delta, spec.big_k)
             dh = np.tensordot(mats["gamma"], dstack, axes=(0, 0))
-        dpre2 = dh * act_deriv(act, cache.pre2)
+        dpre2 = dh * cache.sp2
         layout.view(g, "W2")[...] = cache.s1.T @ dpre2
-        dpre1 = (dpre2 @ mats["W2"].T) * act_deriv(act, cache.pre1)
+        dpre1 = (dpre2 @ mats["W2"].T) * cache.sp1
         layout.view(g, "W1")[...] = x.T @ dpre1
     else:  # gcnii
         _gcnii_backward(spec, ops, x, cache, layout, mats, g, delta)

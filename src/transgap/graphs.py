@@ -11,6 +11,7 @@ products, which is exact for the infinity norm of a nonnegative matrix
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,12 +91,17 @@ class SparseGraph:
             raise ValueError("row_ptr not non-decreasing")
         if ci.size and (ci.min() < 0 or ci.max() >= self.n):
             raise ValueError("column index out of range")
-        for u in range(self.n):
-            nbr = ci[rp[u]:rp[u + 1]]
-            if np.any(np.diff(nbr) <= 0):
-                raise ValueError(f"row {u} not strictly sorted / has duplicates")
-            if np.any(nbr == u):
-                raise ValueError(f"self-loop stored at node {u}")
+        rows = np.repeat(np.arange(self.n), np.diff(rp))
+        # The first row with either fault is reported, the order fault first.
+        unsorted = rows[1:][(rows[1:] == rows[:-1]) & (np.diff(ci) <= 0)]
+        loops = rows[ci == rows]
+        first_unsorted = unsorted[0] if unsorted.size else self.n
+        first_loop = loops[0] if loops.size else self.n
+        if first_unsorted < self.n and first_unsorted <= first_loop:
+            raise ValueError(
+                f"row {first_unsorted} not strictly sorted / has duplicates")
+        if first_loop < self.n:
+            raise ValueError(f"self-loop stored at node {first_loop}")
         tr = _csr_bool(self).T.tocsr()
         tr.sort_indices()
         if not (np.array_equal(tr.indptr, rp) and np.array_equal(tr.indices, ci)):
@@ -160,9 +166,17 @@ class PropagationMatrix:
                    col_idx=m.indices.astype(np.int64),
                    values=m.data.astype(np.float64), inf_norm=inf)
 
+    @cached_property
+    def _csr(self) -> sp.csr_matrix:
+        m = sp.csr_matrix((self.values, self.col_idx, self.row_ptr),
+                          shape=(self.n, self.n))
+        for arr in (m.data, m.indices, m.indptr):
+            arr.setflags(write=False)
+        return m
+
     def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.values, self.col_idx, self.row_ptr),
-                             shape=(self.n, self.n))
+        """The operator as a read-only scipy CSR matrix, built on first use."""
+        return self._csr
 
     def row_sums(self) -> np.ndarray:
         return _ltr_row_sums(self.row_ptr, self.values, self.n)

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .activations import ActivationSpec, act_eval
+from .activations import ActivationSpec, act_deriv, act_eval
 from .graphs import (FILTER_MATERIALIZE_LIMIT, PropagationMatrix, appnp_apply,
                      appnp_coefficients, appnp_filter, gpr_powers, hop_ball)
 from .rng import stream
@@ -262,10 +263,35 @@ class PropOps:
 
 
 class ForwardCache:
-    """All intermediates the backward pass reads, plus logits and probs."""
+    """All intermediates the backward pass reads, plus logits and probs.
 
-    def __init__(self, **kw):
+    ``lazy``, when given, returns the entries that are computed only on
+    first read (a dict of name -> array).  appnp and gprgnn use it for the
+    whole-graph filter product: their forward computes the node-wise MLP
+    (h, and the activation derivatives of both pre-activations), and
+    ``logits``, ``probs`` and gprgnn's power ``stack`` follow the first time
+    checkpoint evaluation, ``grad_mean``, ``loss_sample`` or the ``analyze``
+    scan reads one of them.  A training step reads none of them: it builds
+    the drawn node's logits from one filter row (``grad_sample``).
+    Entries set explicitly are never overwritten by the lazy ones.
+    """
+
+    def __init__(self, lazy=None, **kw):
         self.__dict__.update(kw)
+        self._lazy = lazy
+
+    def __getattr__(self, name):
+        # Reached only for names not set yet.
+        lazy = self.__dict__.get("_lazy")
+        if lazy is None:
+            raise AttributeError(name)
+        for key, value in lazy().items():
+            self.__dict__.setdefault(key, value)
+        self._lazy = None
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -293,7 +319,12 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
             w: np.ndarray) -> ForwardCache:
     """Forward pass over every node of ``ops``; caches every gradient
-    intermediate."""
+    intermediate.
+
+    For appnp and gprgnn it stops at the node-wise MLP and leaves the
+    whole-graph filter product to the first reader of the logits (see
+    ``ForwardCache``); a non-finite MLP output still raises here.
+    """
     if x.shape != (ops.n, spec.d):
         raise ValueError(f"X has shape {x.shape}, expected {(ops.n, spec.d)}")
     layout = layout_for(spec)
@@ -323,23 +354,20 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
         logits = zw1 @ mats["W2"]
         _check_finite(logits, "sgc logits")
         cache = ForwardCache(z=z, zw1=zw1)
-    elif spec.arch == "appnp":
+    elif spec.arch in ("appnp", "gprgnn"):
         pre1 = x @ mats["W1"]
         s1 = act_eval(act, pre1)
         pre2 = s1 @ mats["W2"]
         h = act_eval(act, pre2)
-        logits = ops.appnp_mat(h)
-        _check_finite(logits, "appnp logits")
-        cache = ForwardCache(pre1=pre1, s1=s1, pre2=pre2, h=h)
-    elif spec.arch == "gprgnn":
-        pre1 = x @ mats["W1"]
-        s1 = act_eval(act, pre1)
-        pre2 = s1 @ mats["W2"]
-        h = act_eval(act, pre2)
-        stack = gpr_powers(ops.p, h, spec.big_k)
-        logits = np.tensordot(mats["gamma"], stack, axes=(0, 0))
-        _check_finite(logits, "gprgnn logits")
-        cache = ForwardCache(pre1=pre1, s1=s1, pre2=pre2, h=h, stack=stack)
+        _check_finite(h, f"{spec.arch} MLP output")
+        gamma = mats.get("gamma")
+        if gamma is not None:
+            gamma = gamma.copy()  # w may be changed in place after return
+            _check_finite(gamma, "gprgnn filter coefficients")
+        return ForwardCache(
+            lazy=partial(_filter_outputs, spec, ops, gamma, h),
+            pre1=pre1, s1=s1, sp1=act_deriv(act, pre1),
+            pre2=pre2, h=h, sp2=act_deriv(act, pre2))
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
         pre0 = x @ mats["W0"]
@@ -363,6 +391,22 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
     cache.logits = logits
     cache.probs = probs
     return cache
+
+
+def _filter_outputs(spec: ModelSpec, ops: PropOps, gamma: np.ndarray | None,
+                    h: np.ndarray) -> dict[str, np.ndarray]:
+    """Whole-graph logits and probs of appnp or gprgnn from the MLP output
+    h, plus gprgnn's stack [h, P h, ..., P^K h]."""
+    out = {}
+    if spec.arch == "appnp":
+        logits = ops.appnp_mat(h)
+    else:
+        out["stack"] = gpr_powers(ops.p, h, spec.big_k)
+        logits = np.tensordot(gamma, out["stack"], axes=(0, 0))
+    _check_finite(logits, f"{spec.arch} logits")
+    out["logits"] = logits
+    out["probs"] = softmax_rows(logits)
+    return out
 
 
 def node_loss(cache: ForwardCache, i: int, label: int) -> float:

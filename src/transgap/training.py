@@ -205,11 +205,18 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
             w0: np.ndarray | None = None) -> tuple[np.ndarray, TrainTrace]:
     """Train from w0 (or a fresh seeded init) and trace the trajectory.
 
-    A step reads only the logits of its drawn nodes, so it runs forward and
-    backward on their receptive ball when ``PropOps.restrict`` finds the
-    ball cheaper, and on the whole graph otherwise; a whole-graph step right
-    after a checkpoint reuses the checkpoint's forward.  Checkpoints always
-    evaluate the whole graph.
+    A step reads only the logits of its drawn nodes.  Steps of gcn, sgc and
+    gcnii are ball-local: they run forward and backward on the receptive
+    ball of the drawn nodes when ``PropOps.restrict`` finds the ball
+    cheaper, and on the whole graph otherwise.  Steps of appnp and gprgnn
+    are row-local: their forward computes only the node-wise MLP, and each
+    drawn node's logits and gradient come from its own filter row, so the
+    whole-graph filter product is never formed for a step.  A whole-graph
+    step right after a checkpoint reuses the checkpoint's forward.
+    Checkpoints always evaluate the whole graph, which is where appnp and
+    gprgnn propagate (lazily, on the first read of their logits).  ``cache``
+    holds the previous step's forward until the new one exists, so its
+    arrays' memory is reused rather than handed back and faulted in again.
 
     Deterministic given (inputs, config.seed).  Aborts with a diagnostic if a
     checkpoint loss turns non-finite.

@@ -91,3 +91,58 @@ def test_monotone_nonnegative(x, q):
     a = ActivationSpec(q=q)
     assert act_eval(a, x) >= 0.0
     assert act_deriv(a, x) >= 0.0
+
+
+def _where_eval(a, x):
+    """The clip + np.where formula the branch-free unit replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x > a.t, x - a.t + a.c, np.clip(x, 0.0, a.t) ** a.q)
+
+
+def _where_deriv(a, x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x > a.t, 1.0, a.q * np.clip(x, 0.0, a.t) ** (a.q - 1.0))
+
+
+def _probe_points(a):
+    rng = np.random.default_rng(11)
+    t = a.t
+    edges = [0.0, -0.0, t, np.nextafter(t, 0.0), np.nextafter(t, 2.0),
+             5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf]
+    return np.concatenate([rng.normal(scale=2.0, size=20000),
+                           rng.uniform(0.0, t, size=2000), edges])
+
+
+class TestBranchFreeFormula:
+    def test_bit_identical_to_where_formula_at_q2(self):
+        a = ActivationSpec(q=2.0)
+        x = _probe_points(a).reshape(-1, 1)
+        assert np.array_equal(act_eval(a, x), _where_eval(a, x))
+        assert np.array_equal(act_deriv(a, x), _where_deriv(a, x))
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 1.9])
+    def test_within_1e15_of_where_formula(self, q):
+        a = ActivationSpec(q=q)
+        x = _probe_points(a)
+        np.testing.assert_allclose(act_eval(a, x), _where_eval(a, x),
+                                   rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(act_deriv(a, x), _where_deriv(a, x),
+                                   rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 1.9, 2.0])
+    def test_derivative_at_most_one_and_exactly_one_beyond_knee(self, q):
+        # q t^(q-1) rounds below 1 at q = 1.9; the derivative must not
+        a = ActivationSpec(q=q)
+        x = _probe_points(a)
+        d = act_deriv(a, x)
+        assert np.all(d <= 1.0)
+        assert np.all(d[x >= a.t] == 1.0)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0])
+    def test_scalar_and_zero_d_input(self, q):
+        a = ActivationSpec(q=q)
+        for x in (0.3, -1.0, 4.0, np.float64(0.3), np.array(4.0), 2):
+            assert float(act_eval(a, x)) == float(_where_eval(a, x))
+            assert float(act_deriv(a, x)) == pytest.approx(
+                float(_where_deriv(a, x)), abs=1e-15)
+            assert np.shape(act_eval(a, x)) == ()

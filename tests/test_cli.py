@@ -185,3 +185,48 @@ class TestConfigMerge:
         rc = main(["--config", str(cfg_path), "train", "--data",
                    str(bundle_dir), "--out", str(tmp_path / "t.csv")])
         assert rc == 1
+
+    def _train(self, bundle_dir, tmp_path, cfg, *flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "t.csv"
+        rc = main(["--config", str(cfg_path), "train", "--data",
+                   str(bundle_dir), *flags, "--out", str(out)])
+        return rc, out
+
+    def test_string_values_are_converted_like_flags(self, bundle_dir,
+                                                    tmp_path):
+        rc, out = self._train(bundle_dir, tmp_path,
+                              {"T": "5", "lr-c": "0.5", "model": "sgc"})
+        assert rc == 0
+        assert out.read_text().strip().splitlines()[-1].split(",")[0] == "5"
+
+    @pytest.mark.parametrize("cfg", [{"bogus": 3}, {"help": True},
+                                     {"T": 2.5}, {"T": "five"}, {"T": True},
+                                     {"T": None}, {"T": [3]},
+                                     {"model": "mlp"},
+                                     {"row_normalize": 1}])
+    def test_bad_key_or_value_is_usage_error(self, bundle_dir, tmp_path,
+                                             cfg, capsys):
+        rc, out = self._train(bundle_dir, tmp_path, cfg)
+        assert rc == 1
+        assert "usage error: --config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_must_be_an_object(self, bundle_dir, tmp_path):
+        rc, _ = self._train(bundle_dir, tmp_path, [3])
+        assert rc == 1
+
+    def test_flags_of_other_subcommands_are_ignored(self, bundle_dir,
+                                                    tmp_path):
+        # "models" and "compare" belong to experiment and analyze
+        rc, out = self._train(bundle_dir, tmp_path,
+                              {"models": "gcn,sgc", "compare": True, "T": 3})
+        assert rc == 0
+        assert out.read_text().strip().splitlines()[-1].split(",")[0] == "3"
+
+    def test_switch_and_explicit_flag(self, bundle_dir, tmp_path):
+        rc, out = self._train(bundle_dir, tmp_path,
+                              {"row-normalize": True, "T": "3"}, "--T", "2")
+        assert rc == 0
+        assert out.read_text().strip().splitlines()[-1].split(",")[0] == "2"

@@ -1,0 +1,243 @@
+"""Row-local steps of appnp and gprgnn.
+
+``forward`` stops at the node-wise MLP for the two filter models, and
+``grad_sample`` builds the drawn node's logits from its filter row.  These
+tests hold the whole-graph formula the row path replaced as an oracle.
+"""
+
+import numpy as np
+import pytest
+
+import transgap.models as models
+from transgap.activations import ActivationSpec, act_deriv
+from transgap.datasets import Split
+from transgap.gradients import grad_mean, grad_sample
+from transgap.graphs import (appnp_coefficients, build_graph,
+                             normalized_adjacency)
+from transgap.models import ModelSpec, PropOps, forward, init_params, layout_for
+from transgap.rng import stream
+from transgap.training import LrSchedule, SgdConfig, evaluate, run_sgd
+
+FILTER_ARCHS = ("appnp", "gprgnn")
+
+
+def graph():
+    """Two dense-ish clusters joined by one edge, a pendant path and an
+    isolated node (28 nodes)."""
+    rng = np.random.default_rng(5)
+    edges = [(i, j) for i in range(24) for j in range(i + 1, 24)
+             if (i < 12) == (j < 12) and rng.random() < 0.3]
+    edges += [(11, 12), (23, 24), (24, 25), (25, 26)]
+    return build_graph(edges, 28)
+
+
+def instance(arch, q=2.0, seed=0, materialize=True, monkeypatch=None):
+    spec = ModelSpec(arch=arch, d=5, h=6, num_classes=3,
+                     activation=ActivationSpec(q=q), gamma=0.15, big_k=5)
+    if not materialize:
+        monkeypatch.setattr(models, "FILTER_MATERIALIZE_LIMIT", 0)
+    ops = PropOps(normalized_adjacency(graph()), spec)
+    assert (ops.filter is not None) == (arch == "appnp" and materialize)
+    rng = np.random.default_rng(seed)
+    x = 2.0 * rng.normal(size=(ops.n, spec.d))
+    labels = rng.integers(0, spec.num_classes, size=ops.n)
+    w = init_params(spec, seed)
+    if arch == "gprgnn":  # move gamma off the teleport values
+        layout_for(spec).view(w, "gamma")[...] += 0.05 * rng.normal(
+            size=spec.big_k + 1)
+    return spec, ops, x, labels, w
+
+
+def dense_power_rows(ops, i, big_k):
+    """Rows i of P^0..P^K from the dense matrix."""
+    dense = ops.p.to_scipy().toarray()
+    rows = [np.eye(ops.n)[i]]
+    for _ in range(big_k):
+        rows.append(rows[-1] @ dense)
+    return np.array(rows)
+
+
+def whole_graph_grad(spec, ops, x, w, i, label):
+    """The whole-graph per-sample formula: whole-graph logits, one dense
+    filter row, and n x h products for the W1 block."""
+    cache = forward(spec, ops, x, w)
+    layout = layout_for(spec)
+    mats = layout.matrices(w)
+    act = spec.activation
+    g = np.zeros(layout.dim)
+    err = cache.probs[i].copy()
+    err[label] -= 1.0
+    rows = dense_power_rows(ops, i, spec.big_k)
+    if spec.arch == "appnp":
+        g_row = appnp_coefficients(spec.gamma, spec.big_k) @ rows
+    else:
+        g_row = mats["gamma"] @ rows
+        gg = layout.view(g, "gamma")
+        for k in range(spec.big_k + 1):
+            gg[k] = err @ cache.stack[k][i]
+    sp2 = act_deriv(act, cache.pre2)
+    layout.view(g, "W2")[...] = (cache.s1.T @ (g_row[:, None] * sp2)) * err
+    back = (sp2 * err[None, :]) @ mats["W2"].T
+    sp1 = act_deriv(act, cache.pre1)
+    layout.view(g, "W1")[...] = x.T @ (g_row[:, None] * sp1 * back)
+    return g
+
+
+def rel_err(a, b):
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+class TestRowGradient:
+    @pytest.mark.parametrize("arch", FILTER_ARCHS)
+    @pytest.mark.parametrize("materialize", [True, False])
+    @pytest.mark.parametrize("q", [2.0, 1.5])
+    def test_matches_whole_graph_formula(self, arch, materialize, q,
+                                         monkeypatch):
+        spec, ops, x, labels, w = instance(arch, q=q, materialize=materialize,
+                                           monkeypatch=monkeypatch)
+        layout = layout_for(spec)
+        cache = forward(spec, ops, x, w)
+        # cluster nodes, the bridge, the pendant path and the isolated node
+        for i in (0, 5, 11, 12, 23, 26, 27):
+            got = grad_sample(spec, ops, x, w, i, int(labels[i]), cache=cache)
+            want = whole_graph_grad(spec, ops, x, w, i, int(labels[i]))
+            assert rel_err(got, want) <= 1e-12
+            for name in layout.names():
+                block = layout.slice_of(name)
+                assert rel_err(got[block], want[block]) <= 1e-12, name
+
+    @pytest.mark.parametrize("arch", FILTER_ARCHS)
+    def test_matches_one_node_mean_gradient(self, arch):
+        spec, ops, x, labels, w = instance(arch, seed=3)
+        for i in (2, 20, 27):
+            one = np.array([i])
+            assert rel_err(grad_sample(spec, ops, x, w, i, int(labels[i])),
+                           grad_mean(spec, ops, x, w, one, labels)) <= 1e-12
+
+
+class TestLazyFilterProduct:
+    @pytest.mark.parametrize("arch", FILTER_ARCHS)
+    def test_step_reads_no_whole_graph_product(self, arch, monkeypatch):
+        spec, ops, x, labels, w = instance(arch)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(models, "gpr_powers",
+                            counted("gpr_powers", models.gpr_powers))
+        monkeypatch.setattr(PropOps, "appnp_mat",
+                            counted("appnp_mat", PropOps.appnp_mat))
+        cache = forward(spec, ops, x, w)
+        grad_sample(spec, ops, x, w, 4, int(labels[4]), cache=cache)
+        assert calls == []
+        probs = cache.probs
+        assert len(calls) == 1
+        assert cache.logits.shape == probs.shape == (ops.n, 3)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-14)
+        if arch == "gprgnn":
+            assert cache.stack.shape == (spec.big_k + 1, ops.n, 3)
+        evaluate(spec, ops, x, labels, Split(np.arange(10), np.arange(10, 28)),
+                 w, cache=cache)
+        assert len(calls) == 1
+
+    def test_explicit_entries_are_kept(self):
+        spec, ops, x, _, w = instance("gprgnn")
+        cache = forward(spec, ops, x, w)
+        mine = np.full((ops.n, 3), 1.0 / 3.0)
+        cache.probs = mine
+        assert cache.logits.shape == (ops.n, 3)
+        assert cache.probs is mine
+
+    def test_in_place_change_of_w_after_forward(self):
+        spec, ops, x, _, w = instance("gprgnn")
+        expect = forward(spec, ops, x, w).logits
+        cache = forward(spec, ops, x, w)
+        w[:] = 0.0
+        np.testing.assert_array_equal(cache.logits, expect)
+
+    @pytest.mark.parametrize("arch", FILTER_ARCHS)
+    def test_non_finite_mlp_output_raises_in_forward(self, arch):
+        spec, ops, x, _, w = instance(arch)
+        layout_for(spec).view(w, "W1")[0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="MLP output"):
+            forward(spec, ops, x, w)
+
+    def test_non_finite_filter_coefficient_raises_in_forward(self):
+        spec, ops, x, _, w = instance("gprgnn")
+        layout_for(spec).view(w, "gamma")[2] = np.nan
+        with pytest.raises(FloatingPointError, match="coefficients"):
+            forward(spec, ops, x, w)
+
+    @pytest.mark.parametrize("arch", FILTER_ARCHS)
+    def test_run_sgd_stops_at_the_first_non_finite_step(self, arch,
+                                                         monkeypatch):
+        # the step's own forward raises, before the step's update and
+        # long before the first checkpoint
+        import transgap.training as training
+
+        spec, ops, x, labels, w = instance(arch)
+        split = Split(np.arange(0, 28, 3), np.setdiff1d(np.arange(28),
+                                                         np.arange(0, 28, 3)))
+        layout_for(spec).view(w, "W2")[1, 1] = np.nan
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1] is ops)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counted)
+        config = SgdConfig(big_t=20, seed=1, eval_every=10)
+        with pytest.raises(FloatingPointError, match="MLP output"):
+            run_sgd(spec, ops, x, labels, split, config, w0=w)
+        assert calls == [True]
+
+
+def whole_graph_sgd(spec, ops, x, labels, split, config):
+    """Reference trainer: the whole-graph per-sample formula at every step,
+    the gradient gap from two mean gradients."""
+    w = init_params(spec, config.seed)
+    w_start = w.copy()
+    draw = stream(config.seed, "sgd_draws")
+    rows, g_emp = [], 0.0
+    for t in range(1, config.big_t + 1):
+        eta = config.schedule.eta(t)
+        picks = split.train_idx[draw.integers(0, split.m,
+                                              size=config.batch_size)]
+        grads = [whole_graph_grad(spec, ops, x, w, int(j), int(labels[j]))
+                 for j in picks]
+        g_emp = max([g_emp] + [np.sqrt(eta) * float(np.linalg.norm(g))
+                               for g in grads])
+        w = w - eta * np.mean(grads, axis=0)
+        if t % config.eval_every == 0 or t == config.big_t:
+            cache = forward(spec, ops, x, w)
+            gap = np.linalg.norm(
+                grad_mean(spec, ops, x, w, split.train_idx, labels, cache)
+                - grad_mean(spec, ops, x, w, split.test_idx, labels, cache))
+            rows.append(evaluate(spec, ops, x, labels, split, w, cache)
+                        + (gap, float(np.linalg.norm(w - w_start)), g_emp))
+    return w, rows
+
+
+class TestRunSgdOnRows:
+    @pytest.mark.parametrize("arch", FILTER_ARCHS)
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_trace_matches_whole_graph_loop(self, arch, batch):
+        spec, ops, x, labels, _ = instance(arch, seed=4)
+        train = np.array([0, 3, 9, 12, 17, 24, 26, 27])
+        split = Split(train_idx=train,
+                      test_idx=np.setdiff1d(np.arange(ops.n), train))
+        config = SgdConfig(big_t=14, seed=2, batch_size=batch,
+                           schedule=LrSchedule("inverse_time", 2.0, 5.0),
+                           eval_every=4)
+        w, trace = run_sgd(spec, ops, x, labels, split, config)
+        w_ref, rows = whole_graph_sgd(spec, ops, x, labels, split, config)
+        assert rel_err(w, w_ref) <= 1e-10
+        assert [cp.t for cp in trace.checkpoints] == [4, 8, 12, 14]
+        for cp, ref in zip(trace.checkpoints, rows):
+            got = (cp.r_m, cp.r_u, cp.acc_m, cp.acc_u, cp.grad_gap, cp.dist,
+                   cp.g_emp)
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)

@@ -290,3 +290,75 @@ class TestSbm:
         g, labels = sbm_generate([6, 5], p_in, p_out, seed=seed)
         g.validate()
         assert labels.shape == (11,)
+
+
+class TestScipyView:
+    def test_one_read_only_matrix_per_operator(self):
+        p = normalized_adjacency(k3())
+        m = p.to_scipy()
+        assert p.to_scipy() is m
+        for arr in (m.data, m.indices, m.indptr):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0] = 2.0
+        np.testing.assert_allclose(p.matmat(np.eye(3)), m.toarray())
+
+    def test_cache_is_not_a_field(self):
+        from dataclasses import fields
+
+        p = normalized_adjacency(p3())
+        before = repr(p)
+        p.to_scipy()
+        assert repr(p) == before
+        assert [f.name for f in fields(p)] == [
+            "n", "row_ptr", "col_idx", "values", "inf_norm"]
+        sub = p.induced(np.array([0, 1]))
+        assert sub.to_scipy() is not p.to_scipy()
+        assert sub.to_scipy().shape == (2, 2)
+
+
+def _raw_graph(n, rows):
+    """A SparseGraph straight from per-row neighbor lists, unchecked."""
+    from transgap.graphs import SparseGraph
+
+    row_ptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+    col_idx = np.array([c for r in rows for c in r], dtype=np.int64)
+    return SparseGraph(n=n, row_ptr=row_ptr, col_idx=col_idx)
+
+
+class TestValidate:
+    def test_unsorted_row(self):
+        g = _raw_graph(3, [[1, 2], [0, 2], [1, 0]])
+        with pytest.raises(ValueError, match="row 2 not strictly sorted"):
+            g.validate()
+
+    def test_duplicate_neighbor(self):
+        g = _raw_graph(3, [[1, 1], [0, 0], []])
+        with pytest.raises(ValueError, match="row 0 not strictly sorted"):
+            g.validate()
+
+    def test_self_loop(self):
+        g = _raw_graph(3, [[1], [0, 1], []])
+        with pytest.raises(ValueError, match="self-loop stored at node 1"):
+            g.validate()
+
+    def test_asymmetric_pattern(self):
+        g = _raw_graph(3, [[1], [0, 2], []])
+        with pytest.raises(ValueError, match="not symmetric"):
+            g.validate()
+
+    def test_first_bad_row_is_reported(self):
+        # row 1 holds a self-loop, rows 3 and 4 are unsorted: row 1 first
+        g = _raw_graph(5, [[], [1], [], [4, 0], [3, 0]])
+        with pytest.raises(ValueError, match="self-loop stored at node 1"):
+            g.validate()
+        # a row with both faults reports the order fault, as the row
+        # loop did
+        g = _raw_graph(3, [[2, 0], [], [0]])
+        with pytest.raises(ValueError, match="row 0 not strictly sorted"):
+            g.validate()
+
+    def test_valid_graphs_pass(self):
+        for g in (k3(), p3(), build_graph([], 4),
+                  sbm_generate([20, 20], 0.3, 0.05, seed=2)[0]):
+            g.validate()
