@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,37 +21,38 @@ import numpy as np
 from .bounds import (BoundInputs, gap_certificate, gradient_norm_diagnostics,
                      initial_bounds)
 from .constants import constants_report
-from .datasets import BundleFormatError, load_bundle, make_split, sbm_bundle, save_bundle
-from .experiments import (MODEL_CHOICES, ExperimentConfig, canonical_json,
-                          model_spec_for, pool_size, run_experiment)
+from .datasets import (BundleFormatError, load_bundle, row_normalize,
+                       sbm_bundle, save_bundle)
+from .experiments import (MODEL_CHOICES, UsageError, build_model, build_run,
+                          canonical_json, default_schedule, experiment_config,
+                          flag_errors, run_experiment, theory_offset)
 from .gradients import fd_gradient, grad_sample, max_relative_error
-from .graphs import normalized_adjacency
-from .models import PropOps, forward, init_params
+from .graphs import normalized_adjacency, sbm_generate
+from .models import forward, init_params, layout_for
 from .rng import stream
-from .training import LrSchedule, SgdConfig, run_sgd, schedule_offset
+from .training import run_sgd
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-class UsageError(Exception):
-    pass
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, default=64,
-                   help="hidden width (default: 64)")
+def _add_model_flags(p: argparse.ArgumentParser, hidden: int = 64,
+                     big_k: int = 10,
+                     q_help: str = "activation exponent in (1, 2]",
+                     k_help: str = "filter order for appnp/gprgnn") -> None:
+    p.add_argument("--hidden", type=int, default=hidden,
+                   help=f"hidden width (default: {hidden})")
     p.add_argument("--q", type=float, default=2.0,
-                   help="activation exponent in (1, 2] (default: 2.0)")
+                   help=f"{q_help} (default: 2.0)")
     p.add_argument("--alpha", type=float, default=0.1,
                    help="gcnii residual weight (default: 0.1)")
     p.add_argument("--beta", type=float, default=0.5,
                    help="gcnii identity-map weight (default: 0.5)")
     p.add_argument("--gamma", type=float, default=0.1,
                    help="appnp restart probability (default: 0.1)")
-    p.add_argument("--K", type=int, default=10, dest="big_k",
-                   help="filter order for appnp/gprgnn (default: 10)")
+    p.add_argument("--K", type=int, default=big_k, dest="big_k",
+                   help=f"{k_help} (default: {big_k})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override schedule kind (default: None)")
     e.add_argument("--lr-c", type=float, default=None,
                    help="override schedule numerator (default: None)")
-    e.add_argument("--t0", type=float, default=10.0,
-                   help="schedule offset (default: 10.0)")
+    e.add_argument("--t0", type=float, default=100.0,
+                   help="schedule offset (default: 100.0)")
     e.add_argument("--eval-every", type=int, default=10,
                    help="checkpoint stride (default: 10)")
     e.add_argument("--row-normalize", action="store_true",
@@ -203,18 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finite-difference step (default: 1e-06)")
     c.add_argument("--tol", type=float, default=1e-5,
                    help="max relative error allowed (default: 1e-05)")
-    c.add_argument("--hidden", type=int, default=3,
-                   help="hidden width (default: 3)")
-    c.add_argument("--q", type=float, default=2.0,
-                   help="activation exponent (default: 2.0)")
-    c.add_argument("--alpha", type=float, default=0.1,
-                   help="gcnii residual weight (default: 0.1)")
-    c.add_argument("--beta", type=float, default=0.5,
-                   help="gcnii identity-map weight (default: 0.5)")
-    c.add_argument("--gamma", type=float, default=0.1,
-                   help="appnp restart probability (default: 0.1)")
-    c.add_argument("--K", type=int, default=3, dest="big_k",
-                   help="filter order (default: 3)")
+    _add_model_flags(c, hidden=3, big_k=3, q_help="activation exponent",
+                     k_help="filter order")
     return parser
 
 
@@ -294,20 +286,13 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
     return args
 
 
-def _load(args):
-    return load_bundle(args.data,
-                       normalize_features=getattr(args, "row_normalize", False))
-
-
 def cmd_gen(args) -> int:
-    sizes = [int(s) for s in str(args.blocks).split(",") if s != ""]
-    bundle = sbm_bundle(sizes, args.pin, args.pout, args.seed, d=args.d,
-                        name=args.name, signal=args.signal, noise=args.noise)
+    with flag_errors():
+        sizes = [int(s) for s in str(args.blocks).split(",") if s != ""]
+        bundle = sbm_bundle(sizes, args.pin, args.pout, args.seed, d=args.d,
+                            name=args.name, signal=args.signal, noise=args.noise)
     if args.row_normalize:
-        from .datasets import row_normalize
-        bundle = type(bundle)(name=bundle.name, graph=bundle.graph,
-                              x=row_normalize(bundle.x), labels=bundle.labels,
-                              num_classes=bundle.num_classes)
+        bundle = replace(bundle, x=row_normalize(bundle.x))
     save_bundle(bundle, args.out)
     stats = bundle.graph.degree_stats()
     a_inf = normalized_adjacency(bundle.graph).inf_norm
@@ -317,50 +302,43 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _analyze_one(bundle, args, model: str) -> dict:
-    spec = model_spec_for(model, d=bundle.d, num_classes=bundle.num_classes,
-                          hidden=args.hidden, q=args.q, alpha=args.alpha,
-                          beta=args.beta, gamma=args.gamma, big_k=args.big_k)
-    p = normalized_adjacency(bundle.graph)
-    ops = PropOps(p, spec)
-    split = make_split(bundle.n, args.train_frac, args.seed)
-    w1 = init_params(spec, args.seed)
-    warnings: list[str] = []
-    report = constants_report(spec, p, bundle.x, w1,
-                              stats=bundle.graph.degree_stats(),
-                              c_w_override=args.cw)
-    warnings.extend(report.warnings)
+def _constants(spec, ops, bundle, w1, c_w_override=None):
+    if spec.depth != 2:
+        raise UsageError("no constant certificate for depth != 2")
+    return constants_report(spec, ops.p, bundle.x, w1,
+                            stats=bundle.graph.degree_stats(),
+                            c_w_override=c_w_override)
 
-    if args.radius is not None:
-        radius = float(args.radius)
-    else:
-        kind = "constant" if args.optimizer == "adam" else "inverse_time"
-        sched = LrSchedule(kind=kind, c=args.lr_c, t0=args.t0)
-        sgd = SgdConfig(big_t=args.big_t, seed=args.seed, batch_size=1,
-                        schedule=sched,
-                        optimizer="adam" if args.optimizer == "adam" else "vanilla_sgd",
-                        eval_every=max(1, args.big_t // 10))
+
+def _analyze_one(bundle, args, model: str) -> dict:
+    spec, ops, split, sgd = build_run(
+        bundle, model, args, args.seed,
+        default_schedule(args.optimizer, c=args.lr_c, t0=args.t0),
+        batch_size=1, eval_every=max(1, args.big_t // 10))
+    w1 = init_params(spec, args.seed)
+    report = _constants(spec, ops, bundle, w1, c_w_override=args.cw)
+    warnings = list(report.warnings)
+
+    radius = args.radius
+    if radius is None:
         if args.optimizer == "adam":
             warnings.append("certificates assume the single-draw schedule; "
                             "adam radius is heuristic")
-        _, trace = run_sgd(spec, ops, bundle.x, bundle.labels, split, sgd,
-                           w0=w1)
+        _, trace = run_sgd(spec, ops, bundle.x, bundle.labels, split, sgd)
         radius = trace.max_dist
 
     b_loss, b_grad, norms = initial_bounds(spec, ops, bundle.x, bundle.labels,
                                            w1, return_norms=True)
     diag = gradient_norm_diagnostics(norms)
     alpha_rate = args.alpha_rate if args.alpha_rate is not None else spec.activation.alpha_tilde
-    inputs = BoundInputs(m=split.m, u=split.u, dim=init_params(spec, 0).size,
+    inputs = BoundInputs(m=split.m, u=split.u, dim=layout_for(spec).dim,
                          big_t=args.big_t, delta=args.delta, alpha=alpha_rate,
                          l_f=report.l_f, radius=radius, b_loss=b_loss,
                          b_grad=b_grad)
     bound = gap_certificate(inputs)
-    t0_floor = schedule_offset(report.p_f, alpha_rate, mu=args.mu)
-    if t0_floor > 1e6:
-        warnings.append(f"theory offset t0={t0_floor:.4g} implies vacuously "
-                        "small steps")
-    out = {"model": model, "constants": report.to_dict(),
+    t0_floor = theory_offset(report.p_f, alpha_rate, warnings.append,
+                             mu=args.mu)
+    return {"model": model, "constants": report.to_dict(),
            "bound": bound.to_dict(),
            "bound_inputs": {"m": inputs.m, "u": inputs.u, "dim": inputs.dim,
                             "T": inputs.big_t, "delta": inputs.delta,
@@ -370,7 +348,6 @@ def _analyze_one(bundle, args, model: str) -> dict:
            "t0_floor": t0_floor,
            "aggregation": "lemma-aggregation (sum reading)",
            "warnings": warnings}
-    return out
 
 
 def cmd_analyze(args) -> int:
@@ -378,21 +355,16 @@ def cmd_analyze(args) -> int:
         raise UsageError("--delta must lie strictly inside (0, 1)")
     if args.alpha_rate is not None and not 0.0 < args.alpha_rate <= 1.0:
         raise UsageError("--alpha-rate must lie in (0, 1]")
-    bundle = _load(args)
-    if args.compare:
-        base_models = ("gcn", "gcnii", "sgc", "appnp", "gprgnn")
-        reports = [_analyze_one(bundle, args, m) for m in base_models]
-        reports.sort(key=lambda r: r["constants"]["L_F"])
-        payload = {"schema": "transgap/1", "compare": reports}
-    else:
-        payload = {"schema": "transgap/1",
-                   "compare": [_analyze_one(bundle, args, args.model)]}
-    text = canonical_json(payload)
+    bundle = load_bundle(args.data, args.row_normalize)
+    models = MODEL_CHOICES[:5] if args.compare else (args.model,)
+    reports = [_analyze_one(bundle, args, m) for m in models]
+    reports.sort(key=lambda r: r["constants"]["L_F"])
+    text = canonical_json({"schema": "transgap/1", "compare": reports})
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    for entry in payload["compare"]:
+    for entry in reports:
         print(f"# {entry['model']}: L_F={entry['constants']['L_F']:.4g} "
               f"P_F={entry['constants']['P_F']:.4g} "
               f"certificate={entry['bound']['total']:.4g}",
@@ -401,34 +373,20 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.big_t < 1:
-        raise UsageError("--T must be >= 1")
-    bundle = _load(args)
-    spec = model_spec_for(args.model, d=bundle.d,
-                          num_classes=bundle.num_classes, hidden=args.hidden,
-                          q=args.q, alpha=args.alpha, beta=args.beta,
-                          gamma=args.gamma, big_k=args.big_k)
-    p = normalized_adjacency(bundle.graph)
-    ops = PropOps(p, spec)
-    split = make_split(bundle.n, args.train_frac, args.seed)
-    t0 = args.t0
+    bundle = load_bundle(args.data, args.row_normalize)
+    spec, ops, split, sgd = build_run(
+        bundle, args.model, args, args.seed,
+        default_schedule(args.optimizer, args.schedule, args.lr_c, args.t0),
+        args.batch_size, args.eval_every, weight_decay=args.weight_decay)
     if args.t0_auto:
-        w1 = init_params(spec, args.seed)
-        rep = constants_report(spec, p, bundle.x, w1,
-                               stats=bundle.graph.degree_stats())
-        t0 = schedule_offset(rep.p_f, spec.activation.alpha_tilde)
-        if t0 > 1e6:
-            print(f"warning: theory offset t0={t0:.4g} implies vacuously "
-                  "small steps", file=sys.stderr)
+        rep = _constants(spec, ops, bundle, init_params(spec, args.seed))
+        t0 = theory_offset(rep.p_f, spec.activation.alpha_tilde,
+                           lambda text: print(f"warning: {text}",
+                                              file=sys.stderr))
+        sgd = replace(sgd, schedule=replace(sgd.schedule, t0=t0))
     if args.optimizer == "adam":
         print("warning: certificates are stated for the single-draw "
               "schedule; adam is for table reproduction", file=sys.stderr)
-    sched = LrSchedule(kind=args.schedule, c=args.lr_c, t0=t0)
-    sgd = SgdConfig(big_t=args.big_t, seed=args.seed,
-                    batch_size=args.batch_size, schedule=sched,
-                    optimizer="adam" if args.optimizer == "adam" else "vanilla_sgd",
-                    eval_every=args.eval_every,
-                    weight_decay=args.weight_decay)
     _, trace = run_sgd(spec, ops, bundle.x, bundle.labels, split, sgd)
     Path(args.out).write_text(trace.to_csv())
     last = trace.checkpoints[-1]
@@ -438,67 +396,28 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    parts = [p for p in str(text).split(",") if p != ""]
-    if len(parts) == 1 and "," not in str(text):
-        return tuple(range(int(parts[0])))
-    return tuple(int(p) for p in parts)
-
-
 def cmd_experiment(args) -> int:
-    try:
-        pool_size()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    bundle = _load(args)
-    models = tuple(m for m in args.models.split(",") if m)
-    for m in models:
-        if m not in MODEL_CHOICES:
-            raise UsageError(f"unknown model {m!r}")
-    sched = None
-    if args.schedule is not None or args.lr_c is not None:
-        kind = args.schedule or ("constant" if args.optimizer == "adam"
-                                 else "inverse_time")
-        c = args.lr_c if args.lr_c is not None else (
-            0.01 if args.optimizer == "adam" else 3.0)
-        sched = LrSchedule(kind=kind, c=c, t0=args.t0)
-    config = ExperimentConfig(models=models, seeds=_parse_seeds(args.seeds),
-                              train_frac=args.train_frac, big_t=args.big_t,
-                              hidden=args.hidden, batch_size=args.batch_size,
-                              optimizer=args.optimizer, schedule=sched,
-                              eval_every=args.eval_every, q=args.q,
-                              alpha=args.alpha, beta=args.beta,
-                              gamma=args.gamma, big_k=args.big_k)
+    config = experiment_config(args)
+    bundle = load_bundle(args.data, args.row_normalize)
     report = run_experiment(bundle, config, out_dir=args.out)
-    agg = report.aggregate()
-    for model in models:
-        row = agg["results"][model]
-        print(f"{model}: loss_gap={row['loss_gap']['mean']:.4g}"
-              f"+-{row['loss_gap']['std']:.4g} "
-              f"acc_gap={row['acc_gap']['mean']:.4g}"
-              f"+-{row['acc_gap']['std']:.4g} "
-              f"test_acc={row['test_acc']['mean']:.4g}"
-              f"+-{row['test_acc']['std']:.4g}")
+    for model, row in report.aggregate()["results"].items():
+        print(f"{model}: " + " ".join(
+            f"{key}={row[key]['mean']:.4g}+-{row[key]['std']:.4g}"
+            for key in ("loss_gap", "acc_gap", "test_acc")))
     return 0
 
 
 def gradcheck_instance(model: str, args, inst: int):
     """Deterministic live test instance: (spec, ops, x, w, node, label)."""
-    from .graphs import sbm_generate
-
     half = max(2, args.n // 2)
-    graph, labels = sbm_generate([half, args.n - half], 0.6, 0.2,
-                                 seed=args.seed)
+    with flag_errors():
+        graph, labels = sbm_generate([half, args.n - half], 0.6, 0.2,
+                                     seed=args.seed)
     labels = (labels % args.classes).astype(np.int64)
-    spec = model_spec_for(model, d=args.d, num_classes=args.classes,
-                          hidden=args.hidden, q=args.q, alpha=args.alpha,
-                          beta=args.beta, gamma=args.gamma, big_k=args.big_k)
-    p = normalized_adjacency(graph)
-    ops = PropOps(p, spec)
+    spec, ops = build_model(model, graph, args.d, args.classes, args)
     rng = stream(args.seed, f"gradcheck_features_{inst}")
     x = 2.0 * rng.normal(size=(graph.n, args.d))
     node = inst % graph.n
-    w = init_params(spec, args.seed * 1000 + inst * 64)
     for attempt in range(64):
         w = init_params(spec, args.seed * 1000 + inst * 64 + attempt)
         cache = forward(spec, ops, x, w)
@@ -514,8 +433,6 @@ def gradcheck_instance(model: str, args, inst: int):
 
 
 def _preacts(spec, cache):
-    if spec.arch == "gcn":
-        return cache.pres
     if spec.arch == "sgc":
         return [np.zeros(1) + 1.0]
     if spec.arch in ("appnp", "gprgnn"):
@@ -524,10 +441,11 @@ def _preacts(spec, cache):
 
 
 def cmd_gradcheck(args) -> int:
+    if args.model != "all" and args.model not in MODEL_CHOICES:
+        raise UsageError(f"unknown model {args.model!r}")
     models = list(MODEL_CHOICES[:5]) if args.model == "all" else [args.model]
-    for m in models:
-        if m not in MODEL_CHOICES:
-            raise UsageError(f"unknown model {m!r}")
+    if args.step <= 0.0:
+        raise UsageError("--step must be positive")
     failed = False
     for model in models:
         worst = 0.0
@@ -561,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BundleFormatError, FileNotFoundError, ValueError) as exc:
+    except (BundleFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, RuntimeError) as exc:

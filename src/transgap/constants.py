@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import PropagationMatrix, degree_bound, inf_norm_power
+from .graphs import PropagationMatrix, appnp_apply, degree_bound, gpr_powers
 from .models import ModelSpec, ParamLayout, layout_for
 from .rng import stream
 
@@ -113,7 +113,11 @@ def measure_norms(spec: ModelSpec, p: PropagationMatrix,
     row-by-row absolute sum).
     """
     a_inf = p.inf_norm
-    a2_inf = inf_norm_power(p, 2)
+    # Row k is P^k 1, whose largest entry is the norm of P^k (P is
+    # nonnegative); gprgnn reads rows 0..K, the others only row 2.
+    big_k = max(2, spec.big_k) if spec.arch == "gprgnn" else 2
+    powers = gpr_powers(p, np.ones(p.n), big_k)
+    a2_inf = float(powers[2].max())
     if spec.arch in ("gcn", "gcnii"):
         g_inf = a_inf
         power_sum = 0.0
@@ -121,7 +125,6 @@ def measure_norms(spec: ModelSpec, p: PropagationMatrix,
         g_inf = a2_inf
         power_sum = 0.0
     elif spec.arch == "appnp":
-        from .graphs import appnp_apply
         ones = np.ones(p.n)
         g_inf = float(appnp_apply(p, spec.gamma, spec.big_k, ones).max())
         power_sum = 0.0
@@ -129,7 +132,7 @@ def measure_norms(spec: ModelSpec, p: PropagationMatrix,
         if gamma is None:
             raise ValueError("gprgnn norms need the coefficient vector")
         g_inf = gpr_filter_inf_norm(p, np.asarray(gamma, dtype=np.float64))
-        power_sum = float(sum(inf_norm_power(p, k)
+        power_sum = float(sum(float(powers[k].max())
                               for k in range(spec.big_k + 1)))
     return PropagationNorms(a_inf=a_inf, a2_inf=a2_inf, g_inf=g_inf,
                             power_sum=power_sum)

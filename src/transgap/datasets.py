@@ -128,34 +128,42 @@ def _read_edges(path: Path, n: int) -> SparseGraph:
         raise BundleFormatError(f"{path}: {exc}") from None
 
 
+def _load_table(path: Path, dtype, **kwargs) -> np.ndarray:
+    try:
+        return np.loadtxt(path, dtype=dtype, **kwargs)
+    except ValueError as exc:
+        raise BundleFormatError(f"{path}: {exc}") from None
+
+
 def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
     """Load and validate a bundle directory."""
     root = Path(path)
     meta_path = root / "meta.json"
     if not meta_path.exists():
         raise BundleFormatError(f"missing file: {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    for key in ("n", "d", "num_classes", "name"):
-        if key not in meta:
-            raise BundleFormatError(f"{meta_path}: missing key {key!r}")
-    n, d = int(meta["n"]), int(meta["d"])
+    try:
+        meta = json.loads(meta_path.read_text())
+        n, d = int(meta["n"]), int(meta["d"])
+        num_classes, name = int(meta["num_classes"]), str(meta["name"])
+    except KeyError as exc:
+        raise BundleFormatError(f"{meta_path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise BundleFormatError(f"{meta_path}: {exc}") from None
     graph = _read_edges(root / "edges.tsv", n)
-    x = np.loadtxt(root / "features.csv", delimiter=",", dtype=np.float64,
-                   ndmin=2)
+    x = _load_table(root / "features.csv", np.float64, delimiter=",", ndmin=2)
     if x.shape != (n, d):
         raise BundleFormatError(
             f"features.csv has shape {x.shape}, meta says {(n, d)}")
-    labels = np.loadtxt(root / "labels.csv", dtype=np.int64, ndmin=1)
+    labels = _load_table(root / "labels.csv", np.int64, ndmin=1)
     if labels.shape != (n,):
         raise BundleFormatError(f"labels.csv has {labels.shape[0]} rows, need {n}")
-    num_classes = int(meta["num_classes"])
     if labels.min() < 0 or labels.max() >= num_classes:
         bad = int(np.argmax((labels < 0) | (labels >= num_classes))) + 1
         raise BundleFormatError(
             f"labels.csv:{bad}: class index outside [0, {num_classes})")
     if normalize_features:
         x = row_normalize(x)
-    return DatasetBundle(name=str(meta["name"]), graph=graph, x=x,
+    return DatasetBundle(name=name, graph=graph, x=x,
                          labels=labels, num_classes=num_classes)
 
 

@@ -11,19 +11,37 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .activations import ActivationSpec
 from .datasets import DatasetBundle, make_split
-from .graphs import normalized_adjacency
+from .graphs import SparseGraph, normalized_adjacency
 from .models import ModelSpec, PropOps
-from .training import LrSchedule, SgdConfig, TrainTrace, run_sgd
+from .training import LrSchedule, SgdConfig, TrainTrace, run_sgd, schedule_offset
 
 MODEL_CHOICES = ("gcn", "gcnii", "sgc", "appnp", "gprgnn", "gcn6", "gcnii6")
 
+# The model flags: argparse destinations and ExperimentConfig fields alike.
+MODEL_FLAGS = ("hidden", "q", "alpha", "beta", "gamma", "big_k")
+
 REPORT_SCHEMA = "transgap/1"
+
+
+class UsageError(ValueError):
+    """A flag value from which no run can be built (CLI exit code 1)."""
+
+
+@contextmanager
+def flag_errors():
+    """Turn a ValueError raised while building from flags into a UsageError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def model_spec_for(name: str, d: int, num_classes: int, hidden: int = 64,
@@ -51,6 +69,58 @@ def model_spec_for(name: str, d: int, num_classes: int, hidden: int = 64,
     return ModelSpec(arch="sgc", **base)
 
 
+def default_schedule(optimizer: str, kind: str | None = None,
+                     c: float | None = None, t0: float | None = None):
+    """Step sizes 0.01 for adam and 3 / (t + 100) for sgd; a given kind, c
+    or t0 overrides its own part."""
+    base = (LrSchedule("constant", 0.01) if optimizer == "adam"
+            else LrSchedule("inverse_time", 3.0, 100.0))
+    with flag_errors():
+        return LrSchedule(kind or base.kind, base.c if c is None else c,
+                          base.t0 if t0 is None else t0)
+
+
+def build_model(name: str, graph: SparseGraph, d: int, num_classes: int,
+                flags) -> tuple[ModelSpec, PropOps]:
+    """Spec and propagation helpers of one model from the MODEL_FLAGS."""
+    with flag_errors():
+        spec = model_spec_for(name, d=d, num_classes=num_classes,
+                              **{k: getattr(flags, k) for k in MODEL_FLAGS})
+        return spec, PropOps(normalized_adjacency(graph), spec)
+
+
+def build_run(bundle: DatasetBundle, model: str, flags, seed: int,
+              schedule: LrSchedule, batch_size: int | None, eval_every: int,
+              weight_decay: float = 0.0):
+    """(spec, propagation helpers, split, SgdConfig) of one run.
+
+    ``flags`` (parsed flags or an ExperimentConfig) holds the MODEL_FLAGS,
+    ``train_frac``, ``big_t`` and ``optimizer``; ``batch_size`` None means
+    min(512, m).
+    """
+    spec, ops = build_model(model, bundle.graph, bundle.d, bundle.num_classes,
+                            flags)
+    with flag_errors():
+        split = make_split(bundle.n, flags.train_frac, seed)
+        sgd = SgdConfig(
+            big_t=flags.big_t, seed=seed, schedule=schedule,
+            batch_size=min(512, split.m) if batch_size is None else batch_size,
+            optimizer="adam" if flags.optimizer == "adam" else "vanilla_sgd",
+            eval_every=eval_every, weight_decay=weight_decay)
+    return spec, ops, split, sgd
+
+
+def theory_offset(p_f: float, alpha: float, warn,
+                  mu: float | None = None) -> float:
+    """The smallest admissible schedule offset (``schedule_offset``); passes
+    ``warn`` a warning when it makes the steps vacuously small."""
+    with flag_errors():
+        t0 = schedule_offset(p_f, alpha, mu=mu)
+    if t0 > 1e6:
+        warn(f"theory offset t0={t0:.4g} implies vacuously small steps")
+    return t0
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     models: tuple[str, ...]
@@ -75,11 +145,28 @@ class ExperimentConfig:
             raise ValueError("train_frac must be in (0, 1)")
 
     def resolved_schedule(self) -> LrSchedule:
-        if self.schedule is not None:
-            return self.schedule
-        if self.optimizer == "adam":
-            return LrSchedule(kind="constant", c=0.01)
-        return LrSchedule(kind="inverse_time", c=3.0, t0=100.0)
+        return self.schedule or default_schedule(self.optimizer)
+
+
+def experiment_config(flags) -> ExperimentConfig:
+    """The ExperimentConfig that the flags of ``experiment`` describe."""
+    models = tuple(m for m in flags.models.split(",") if m)
+    for m in models:
+        if m not in MODEL_CHOICES:
+            raise UsageError(f"unknown model {m!r}")
+    text = str(flags.seeds)  # a count N (seeds 0..N-1) or a list
+    with flag_errors():
+        seeds = tuple(int(s) for s in text.split(",") if s)
+        if seeds and "," not in text:
+            seeds = tuple(range(seeds[0]))
+        return ExperimentConfig(
+            models=models, seeds=seeds, train_frac=flags.train_frac,
+            big_t=flags.big_t, batch_size=flags.batch_size,
+            optimizer=flags.optimizer,
+            schedule=default_schedule(flags.optimizer, flags.schedule,
+                                      flags.lr_c, flags.t0),
+            eval_every=flags.eval_every,
+            **{k: getattr(flags, k) for k in MODEL_FLAGS})
 
 
 @dataclass(frozen=True)
@@ -96,20 +183,9 @@ class RunResult:
 def run_single(bundle: DatasetBundle, config: ExperimentConfig, model: str,
                seed: int) -> RunResult:
     """One (model, seed) run: fresh split, fresh init, training, evaluation."""
-    spec = model_spec_for(model, d=bundle.d, num_classes=bundle.num_classes,
-                          hidden=config.hidden, q=config.q,
-                          alpha=config.alpha, beta=config.beta,
-                          gamma=config.gamma, big_k=config.big_k)
-    p = normalized_adjacency(bundle.graph)
-    ops = PropOps(p, spec)
-    split = make_split(bundle.n, config.train_frac, seed)
-    batch = config.batch_size
-    if batch is None:
-        batch = min(512, split.m)
-    sgd = SgdConfig(big_t=config.big_t, seed=seed, batch_size=batch,
-                    schedule=config.resolved_schedule(),
-                    optimizer="adam" if config.optimizer == "adam" else "vanilla_sgd",
-                    eval_every=config.eval_every)
+    spec, ops, split, sgd = build_run(bundle, model, config, seed,
+                                      config.resolved_schedule(),
+                                      config.batch_size, config.eval_every)
     try:
         _, trace = run_sgd(spec, ops, bundle.x, bundle.labels, split, sgd)
     except Exception as exc:
@@ -131,7 +207,7 @@ def pool_size() -> int:
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ValueError("TRANSGAP_THREADS must be a positive integer")
+        raise UsageError("TRANSGAP_THREADS must be a positive integer")
     return workers
 
 
@@ -194,8 +270,6 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig,
         report.runs.append(results[(model, seed)])
 
     if out_dir is not None:
-        from pathlib import Path
-
         root = Path(out_dir)
         root.mkdir(parents=True, exist_ok=True)
         for run in report.runs:

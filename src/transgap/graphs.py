@@ -18,9 +18,11 @@ import scipy.sparse as sp
 
 from .rng import stream
 
-# Above this size the polynomial filter is applied lazily instead of being
-# materialized (fill-in grows quadratically at worst).
-FILTER_MATERIALIZE_LIMIT = 5000
+# Above this many nodes the APPNP filter is applied lazily instead of being
+# materialized: the dense-ish filter costs memory quadratic in n, and at mean
+# degree about 12 `analyze --model appnp` (T + n filter-row reads) runs as
+# fast on the lazy path from about 250 nodes on and faster above 300.
+FILTER_MATERIALIZE_LIMIT = 250
 
 # Uniform draws held at once by ``sbm_generate`` (whole rows, at least one).
 _SBM_CHUNK = 1 << 20
@@ -206,9 +208,6 @@ class PropagationMatrix:
             n=k, row_ptr=row_ptr, col_idx=cols[keep], values=values,
             inf_norm=float(_ltr_row_sums(row_ptr, values, k).max()))
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ x
-
     def matmat(self, x: np.ndarray) -> np.ndarray:
         return self.to_scipy() @ x
 
@@ -316,7 +315,7 @@ def appnp_coefficients(gamma: float, big_k: int) -> np.ndarray:
 
 
 def appnp_filter(p: PropagationMatrix, gamma: float, big_k: int) -> PropagationMatrix:
-    """Materialized teleport-style polynomial filter (n <= 5000 path).
+    """Materialized teleport-style polynomial filter (small-graph path).
 
     Built by Horner recursion B <- gamma*I + (1-gamma)*P B so only partial
     filters, never raw powers, are formed.

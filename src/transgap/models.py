@@ -24,7 +24,7 @@ omitted everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -461,7 +461,3 @@ def load_params(spec: ModelSpec, path) -> np.ndarray:
     if w.shape != (layout.dim,):
         raise ValueError("raw parameter file has the wrong length")
     return w.astype(np.float64)
-
-
-def spec_with_q(spec: ModelSpec, q: float) -> ModelSpec:
-    return replace(spec, activation=ActivationSpec(q=q))

@@ -86,6 +86,43 @@ class TestExitCodes:
                 in res.stderr)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["train", "--q", "2.5"], "q must lie in (1, 2]"),
+        (["train", "--batch-size", "0"], "batch_size must be >= 1"),
+        (["experiment", "--seeds", "a"], "invalid literal for int()"),
+    ])
+    def test_bad_run_flag_is_usage_error(self, args, message, bundle_dir,
+                                         tmp_path):
+        res = run_cli([*args, "--data", str(bundle_dir), "--T", "2",
+                       "--out", str(tmp_path / "o")], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert f"usage error: {message}" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_gen_flag_is_usage_error(self, tmp_path):
+        res = run_cli(["gen", "--blocks", "5,5", "--pin", "2",
+                       "--out", str(tmp_path / "g")], tmp_path)
+        assert res.returncode == 1
+        assert "usage error: probabilities must be in [0, 1]" in res.stderr
+
+    @pytest.mark.parametrize("name,text", [
+        ("features.csv", "0.5,abc,1\n"),
+        ("meta.json", "{\"n\": 24,"),
+        ("meta.json", "{\"n\": \"many\", \"d\": 4, \"num_classes\": 2, "
+                      "\"name\": \"x\"}"),
+    ])
+    def test_malformed_bundle_file_is_data_error(self, name, text, bundle_dir,
+                                                 tmp_path):
+        import shutil
+
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, data)
+        (data / name).write_text(text)
+        res = run_cli(["train", "--data", str(data), "--T", "2",
+                       "--out", str(tmp_path / "t.csv")], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert f"data error: {data / name}" in res.stderr
+
     def test_gradcheck_pass_exit_zero(self, tmp_path):
         res = run_cli(["gradcheck", "--model", "sgc", "--instances", "3"],
                       tmp_path)
@@ -154,6 +191,31 @@ class TestExperimentCommand:
         assert len(report["runs"]) == 4
         assert (tmp_path / "exp" / "curve_sgc_1.csv").exists()
         assert (tmp_path / "exp" / "gap_curve_gcn.csv").exists()
+
+
+class TestExperimentSchedule:
+    """--schedule, --lr-c and --t0 each override one part of the
+    optimizer's default schedule (sgd: 3 / (t + 100))."""
+
+    def _report(self, bundle_dir, tmp_path, monkeypatch, *flags):
+        monkeypatch.setenv("TRANSGAP_THREADS", "1")
+        out = tmp_path / "_".join(["exp", *flags]).replace("-", "")
+        rc = main(["experiment", "--data", str(bundle_dir), "--models", "gcn",
+                   "--seeds", "1", "--T", "30", "--hidden", "4",
+                   "--optimizer", "sgd", "--batch-size", "1", *flags,
+                   "--out", str(out)])
+        assert rc == 0
+        return (out / "report.json").read_bytes()
+
+    def test_each_flag_overrides_only_its_part(self, bundle_dir, tmp_path,
+                                               monkeypatch):
+        default = self._report(bundle_dir, tmp_path, monkeypatch)
+        assert self._report(bundle_dir, tmp_path, monkeypatch,
+                            "--schedule", "inverse_time") == default
+        assert self._report(bundle_dir, tmp_path, monkeypatch,
+                            "--t0", "100") == default
+        assert self._report(bundle_dir, tmp_path, monkeypatch,
+                            "--t0", "5") != default
 
 
 class TestConfigMerge:

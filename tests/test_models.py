@@ -233,6 +233,18 @@ class TestForwardClosedForms:
         np.testing.assert_allclose(ga, gb, atol=1e-10)
 
 
+class TestFilterMaterialization:
+    def test_only_small_graphs_materialize_the_appnp_filter(self):
+        """The teleport filter is stored for the 200-node benchmark bundle
+        and applied lazily on a 400-node one (mean degree about 12)."""
+        spec = ModelSpec(arch="appnp", d=3, h=4, num_classes=2, activation=Q2)
+        for n, stored in ((200, True), (400, False)):
+            pin = 24.0 / (1.1 * n)
+            bundle = sbm_bundle([n // 2, n // 2], pin, pin / 10, seed=0, d=3)
+            ops = PropOps(normalized_adjacency(bundle.graph), spec)
+            assert (ops.filter is not None) == stored, n
+
+
 class TestInit:
     def test_fan_in_bound_respected(self):
         spec = ModelSpec(arch="gcn", d=16, h=8, num_classes=4, activation=Q2)
