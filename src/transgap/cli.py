@@ -302,6 +302,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file, creating its missing parent directories."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+
+
 def _constants(spec, ops, bundle, w1, c_w_override=None):
     if spec.depth != 2:
         raise UsageError("no constant certificate for depth != 2")
@@ -355,13 +362,16 @@ def cmd_analyze(args) -> int:
         raise UsageError("--delta must lie strictly inside (0, 1)")
     if args.alpha_rate is not None and not 0.0 < args.alpha_rate <= 1.0:
         raise UsageError("--alpha-rate must lie in (0, 1]")
+    for flag, value in (("--radius", args.radius), ("--cw", args.cw)):
+        if value is not None and not value >= 0.0:
+            raise UsageError(f"{flag} must be nonnegative")
     bundle = load_bundle(args.data, args.row_normalize)
     models = MODEL_CHOICES[:5] if args.compare else (args.model,)
     reports = [_analyze_one(bundle, args, m) for m in models]
     reports.sort(key=lambda r: r["constants"]["L_F"])
     text = canonical_json({"schema": "transgap/1", "compare": reports})
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     for entry in reports:
@@ -388,7 +398,7 @@ def cmd_train(args) -> int:
         print("warning: certificates are stated for the single-draw "
               "schedule; adam is for table reproduction", file=sys.stderr)
     _, trace = run_sgd(spec, ops, bundle.x, bundle.labels, split, sgd)
-    Path(args.out).write_text(trace.to_csv())
+    _write(args.out, trace.to_csv())
     last = trace.checkpoints[-1]
     print(f"{args.model} T={args.big_t} seed={args.seed}: "
           f"R_m={last.r_m:.4g} R_u={last.r_u:.4g} "

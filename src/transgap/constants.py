@@ -20,11 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import PropagationMatrix, appnp_apply, degree_bound, gpr_powers
+from .graphs import (PropagationMatrix, appnp_coefficients, degree_bound,
+                     gpr_powers)
 from .models import ModelSpec, ParamLayout, layout_for
 from .rng import stream
 
 SQRT2 = math.sqrt(2.0)
+
+# Entries of the power stack held at once by the mixed-sign branch of
+# ``gpr_filter_inf_norm`` (whole unit columns, at least one).
+_NORM_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,10 @@ def measure_norms(spec: ModelSpec, p: PropagationMatrix,
     """Propagation norms for one architecture.
 
     g_inf is the norm of the architecture's own filter: the normalized
-    adjacency for gcn/gcnii, its square for sgc, the teleport filter for
-    appnp, and the coefficient-weighted polynomial for gprgnn (for which
-    ``gamma`` must be supplied; negative coefficients fall back to an exact
-    row-by-row absolute sum).
+    adjacency for gcn/gcnii, its square for sgc, and the coefficient-weighted
+    polynomial for gprgnn (for which ``gamma`` must be supplied) and appnp.
+    appnp is gprgnn with its coefficients fixed at ``appnp_coefficients``:
+    no coefficient block moves, so its power_sum is 0.
     """
     a_inf = p.inf_norm
     # Row k is P^k 1, whose largest entry is the norm of P^k (P is
@@ -118,22 +123,20 @@ def measure_norms(spec: ModelSpec, p: PropagationMatrix,
     big_k = max(2, spec.big_k) if spec.arch == "gprgnn" else 2
     powers = gpr_powers(p, np.ones(p.n), big_k)
     a2_inf = float(powers[2].max())
+    power_sum = 0.0
     if spec.arch in ("gcn", "gcnii"):
         g_inf = a_inf
-        power_sum = 0.0
     elif spec.arch == "sgc":
         g_inf = a2_inf
-        power_sum = 0.0
-    elif spec.arch == "appnp":
-        ones = np.ones(p.n)
-        g_inf = float(appnp_apply(p, spec.gamma, spec.big_k, ones).max())
-        power_sum = 0.0
-    else:  # gprgnn
-        if gamma is None:
+    else:
+        if spec.arch == "appnp":
+            gamma = appnp_coefficients(spec.gamma, spec.big_k)
+        elif gamma is None:
             raise ValueError("gprgnn norms need the coefficient vector")
+        else:
+            power_sum = float(sum(float(powers[k].max())
+                                  for k in range(spec.big_k + 1)))
         g_inf = gpr_filter_inf_norm(p, np.asarray(gamma, dtype=np.float64))
-        power_sum = float(sum(float(powers[k].max())
-                              for k in range(spec.big_k + 1)))
     return PropagationNorms(a_inf=a_inf, a2_inf=a2_inf, g_inf=g_inf,
                             power_sum=power_sum)
 
@@ -141,29 +144,22 @@ def measure_norms(spec: ModelSpec, p: PropagationMatrix,
 def gpr_filter_inf_norm(p: PropagationMatrix, gamma: np.ndarray) -> float:
     """Infinity norm of sum_k gamma_k P^k without forming the powers.
 
-    Nonnegative coefficients admit the exact ones-vector shortcut; mixed
-    signs require per-row absolute sums, built from K mat-vecs per row.
+    Nonnegative coefficients admit the exact ones-vector shortcut.  Mixed
+    signs need the absolute row sums, read from the filter applied to
+    blocks of unit columns (P is symmetric, so column i is row i).
     """
     big_k = gamma.shape[0] - 1
-    csr = p.to_scipy()
     if np.all(gamma >= 0.0):
-        v = np.ones(p.n)
-        acc = gamma[0] * v
-        for k in range(1, big_k + 1):
-            v = csr @ v
-            acc = acc + gamma[k] * v
-        return float(acc.max())
+        stack = gpr_powers(p, np.ones(p.n), big_k)
+        return float(np.tensordot(gamma, stack, axes=(0, 0)).max())
     best = 0.0
-    for i in range(p.n):
-        row = np.zeros(p.n)
-        row[i] = 1.0
-        acc = gamma[0] * row
-        cur = row
-        for k in range(1, big_k + 1):
-            cur = csr @ cur
-            acc = acc + gamma[k] * cur
-        s = float(np.cumsum(np.abs(acc))[-1]) if p.n else 0.0
-        best = max(best, s)
+    step = max(1, _NORM_CHUNK // (max(p.n, 1) * (big_k + 1)))
+    for start in range(0, p.n, step):
+        cols = np.arange(start, min(start + step, p.n))
+        unit = np.zeros((p.n, cols.size))
+        unit[cols, np.arange(cols.size)] = 1.0
+        block = np.tensordot(gamma, gpr_powers(p, unit, big_k), axes=(0, 0))
+        best = max(best, float(np.abs(block).sum(axis=0).max()))
     return best
 
 
@@ -204,10 +200,10 @@ def loss_lipschitz(spec: ModelSpec, c_x: float, c_w: float,
 
     gcn:     2 c_X c_W a^2          (a = norm of the adjacency)
     sgc:     2 c_X c_W a2           (a2 = norm of its square)
-    appnp:   2 c_X c_W g            (g = filter norm)
     gcnii:   sqrt(L1 + L2) from the layer bound chain
     gprgnn:  sqrt(L1^2 + L2^2), L1 = sqrt(2) c_X c_W^2 power_sum,
-             L2 = 2 c_X c_W g
+             L2 = 2 c_X c_W g       (g = filter norm)
+    appnp:   gprgnn's, with power_sum 0 (fixed coefficients): 2 c_X c_W g
     Only the depth-2 gcn/gcnii settings carry a certificate.
     """
     if spec.depth != 2:
@@ -216,9 +212,7 @@ def loss_lipschitz(spec: ModelSpec, c_x: float, c_w: float,
         return LipschitzResult(2.0 * c_x * c_w * norms.a_inf ** 2)
     if spec.arch == "sgc":
         return LipschitzResult(2.0 * c_x * c_w * norms.a2_inf)
-    if spec.arch == "appnp":
-        return LipschitzResult(2.0 * c_x * c_w * norms.g_inf)
-    if spec.arch == "gprgnn":
+    if spec.arch in ("appnp", "gprgnn"):
         l1 = SQRT2 * c_x * c_w ** 2 * norms.power_sum
         l2 = 2.0 * c_x * c_w * norms.g_inf
         return LipschitzResult(math.sqrt(l1 ** 2 + l2 ** 2))
@@ -256,7 +250,8 @@ def smoothness_tables(spec: ModelSpec, c_x: float, c_w: float,
     Row h, column i holds the coefficient with which a change in parameter
     block i moves the h-th gradient block; linear coefficients multiply the
     plain norm, Hoelder coefficients its (q-1) power.  Column order follows
-    the parameter layout.
+    the parameter layout.  appnp takes gprgnn's tables without the
+    coefficient block's row and column.
     """
     at = spec.activation.alpha_tilde
     pc = spec.activation.holder_vector_constant(spec.activation_width())
@@ -279,19 +274,7 @@ def smoothness_tables(spec: ModelSpec, c_x: float, c_w: float,
         diag = cx ** 2 * cw ** 2 * a ** 2
         return np.array([[diag, off], [off, diag]]), np.zeros((2, 2))
 
-    if spec.arch == "appnp":
-        a = norms.g_inf
-        off = SQRT2 * cx * a + cx ** 2 * cw ** 2 * a ** 2
-        diag = cx ** 2 * cw ** 2 * a ** 2
-        p_tab = np.array([[diag, off], [off, diag]])
-        cxa, cwa = cx ** (1 + at), cw ** (1 + at)
-        pt_tab = np.array([
-            [SQRT2 * pc * (cxa * cw + cxa * cwa) * a, SQRT2 * pc * cxa * cwa * a],
-            [SQRT2 * pc * cxa * cwa * a, sqc * cxa * cwa * a],
-        ])
-        return p_tab, pt_tab
-
-    if spec.arch == "gprgnn":
+    if spec.arch in ("appnp", "gprgnn"):
         a, s = norms.g_inf, norms.power_sum
         off = SQRT2 * cx * a + cx ** 2 * cw ** 2 * a ** 2
         diag = cx ** 2 * cw ** 2 * a ** 2
@@ -310,7 +293,8 @@ def smoothness_tables(spec: ModelSpec, c_x: float, c_w: float,
             [SQRT2 * pc * cx ** at * cw ** at * s,
              SQRT2 * pc * cx ** at * cw ** at * s, 0.0],
         ])
-        return p_tab, pt_tab
+        blocks = len(layout_for(spec).blocks)
+        return p_tab[:blocks, :blocks], pt_tab[:blocks, :blocks]
 
     # gcnii: columns ordered [W0, W1, W2, W3]
     a = norms.a_inf

@@ -194,6 +194,8 @@ def sbm_bundle(sizes, p_in: float, p_out: float, seed: int, d: int = 8,
     Block b gets mean ``signal * e_{b mod d}``; features add isotropic noise.
     Labels are the block indices.
     """
+    if d < 1:
+        raise ValueError("feature dimension d must be >= 1")
     graph, labels = sbm_generate(sizes, p_in, p_out, seed)
     rng = stream(seed, "features")
     means = np.zeros((len(sizes), d))

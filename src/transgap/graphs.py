@@ -3,9 +3,11 @@
 Graphs are stored in compressed-sparse-row form without values (unweighted,
 symmetric, no self-loops).  Propagation operators carry nonnegative float64
 values and a cached infinity norm.  Matrix powers are never materialized for
-exponent >= 2: every use goes through repeated sparse mat-vec / mat-mat
-products, which is exact for the infinity norm of a nonnegative matrix
-(max component of P^k applied to the all-ones vector).
+exponent >= 2: every polynomial sum_k c_k P^k X is read from the stack
+[X, PX, ..., P^K X] of ``gpr_powers``, built by repeated sparse mat-vec /
+mat-mat products, which is exact for the infinity norm of a nonnegative
+matrix (max component of P^k applied to the all-ones vector).  Only the
+small-graph ``appnp_filter`` forms a matrix, the filter itself.
 """
 
 from __future__ import annotations
@@ -289,13 +291,9 @@ def inf_norm_power(p: PropagationMatrix, k: int) -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0 or p.n == 0:
+    if p.n == 0:
         return 1.0
-    v = np.ones(p.n, dtype=np.float64)
-    m = p.to_scipy()
-    for _ in range(k):
-        v = m @ v
-    return float(v.max())
+    return float(gpr_powers(p, np.ones(p.n), k)[k].max())
 
 
 def degree_bound(s: DegreeStats) -> float:
@@ -336,16 +334,10 @@ def appnp_filter(p: PropagationMatrix, gamma: float, big_k: int) -> PropagationM
 
 def appnp_apply(p: PropagationMatrix, gamma: float, big_k: int,
                 x: np.ndarray) -> np.ndarray:
-    """Lazy application of the teleport filter: K mat-mat products, no fill-in."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must be in [0, 1]")
-    if big_k < 1:
-        raise ValueError("K must be >= 1")
-    m = p.to_scipy()
-    y = x
-    for _ in range(big_k):
-        y = gamma * x + (1.0 - gamma) * (m @ y)
-    return y
+    """Lazy application of the teleport filter, sum_k c_k P^k X with the
+    ``appnp_coefficients``: K mat-mat products, no fill-in."""
+    return np.tensordot(appnp_coefficients(gamma, big_k),
+                        gpr_powers(p, x, big_k), axes=(0, 0))
 
 
 def gpr_powers(p: PropagationMatrix, x: np.ndarray, big_k: int) -> np.ndarray:

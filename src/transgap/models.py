@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -157,7 +157,9 @@ class ParamLayout:
         return {name: self.view(w, name) for name, _ in self.blocks}
 
 
+@cache
 def layout_for(spec: ModelSpec) -> ParamLayout:
+    """The parameter layout of a spec, built once per distinct spec."""
     d, h, c = spec.d, spec.h, spec.num_classes
     if spec.arch == "gcn":
         blocks = [("W1", (d, h))]

@@ -214,9 +214,7 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     whole-graph filter product is never formed for a step.  A whole-graph
     step right after a checkpoint reuses the checkpoint's forward.
     Checkpoints always evaluate the whole graph, which is where appnp and
-    gprgnn propagate (lazily, on the first read of their logits).  ``cache``
-    holds the previous step's forward until the new one exists, so its
-    arrays' memory is reused rather than handed back and faulted in again.
+    gprgnn propagate (lazily, on the first read of their logits).
 
     Deterministic given (inputs, config.seed).  Aborts with a diagnostic if a
     checkpoint loss turns non-finite.

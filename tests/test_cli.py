@@ -65,6 +65,32 @@ class TestExitCodes:
         assert ("usage error: --delta must lie strictly inside (0, 1)"
                 in res.stderr)
 
+    @pytest.mark.parametrize("flag", ["--radius", "--cw"])
+    def test_analyze_negative_radius_or_cw(self, flag, bundle_dir, tmp_path):
+        res = run_cli(["analyze", "--data", str(bundle_dir), flag, "-1",
+                       "--T", "2"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert f"usage error: {flag} must be nonnegative" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("command,name", [("analyze", "a.json"),
+                                              ("train", "t.csv")])
+    def test_out_in_missing_directory_is_created(self, command, name,
+                                                 bundle_dir, tmp_path):
+        out = tmp_path / "new" / "dir" / name
+        res = run_cli([command, "--data", str(bundle_dir), "--T", "2",
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert out.read_text()
+
+    def test_gen_zero_feature_dimension(self, tmp_path):
+        res = run_cli(["gen", "--blocks", "5,5", "--d", "0",
+                       "--out", str(tmp_path / "g")], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert ("usage error: feature dimension d must be >= 1"
+                in res.stderr)
+        assert not (tmp_path / "g").exists()
+
     def test_missing_bundle_is_data_error(self, tmp_path):
         res = run_cli(["analyze", "--data", str(tmp_path / "nope")], tmp_path)
         assert res.returncode == 2

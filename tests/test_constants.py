@@ -157,6 +157,66 @@ class TestGradientSmoothness:
         assert res.aggregation == "lemma-aggregation (sum reading)"
 
 
+class TestGprFilterNorm:
+    """gpr_filter_inf_norm against the dense filter sum_k gamma_k P^k."""
+
+    @staticmethod
+    def graphs():
+        # 11 nodes: a 7-node block, a 3-node path with two pendant ends and
+        # an isolated node, relabelled by every cyclic shift so that the
+        # row with the largest sum falls into every block position.
+        edges = np.array([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5),
+                          (5, 6), (1, 6), (7, 8), (8, 9)])
+        return [normalized_adjacency(build_graph((edges + shift) % 11, 11))
+                for shift in range(11)]
+
+    @pytest.mark.parametrize("gamma", [
+        [0.1 * 0.9 ** k for k in range(4)] + [0.9 ** 4],
+        [0.5, -0.8, 0.3, 0.6, -0.2],
+        [-0.4, 0.0, 1.1],
+    ])
+    @pytest.mark.parametrize("width", [1, 4, 11, 50])
+    def test_matches_dense_filter(self, gamma, width, monkeypatch):
+        from transgap import constants
+
+        gamma = np.array(gamma)
+        # Unit-column blocks of `width` columns (the last one shorter).
+        monkeypatch.setattr(constants, "_NORM_CHUNK", width * 11 * gamma.size)
+        for p in self.graphs():
+            dense = np.asarray(p.to_scipy().todense())
+            filt = sum(c * np.linalg.matrix_power(dense, k)
+                       for k, c in enumerate(gamma))
+            expect = np.abs(filt).sum(axis=1).max()
+            got = constants.gpr_filter_inf_norm(p, gamma)
+            assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+class TestAppnpGolden:
+    """appnp constants from literal norms.  The literals are the values of
+    appnp's own formulas, 2 c_X c_W g and the 2 x 2 tables; gprgnn's
+    formulas with power_sum 0, which appnp evaluates, give the same bits."""
+
+    NORMS = PropagationNorms(a_inf=1.25, a2_inf=1.125, g_inf=0.9375,
+                             power_sum=0.0)
+
+    @pytest.mark.parametrize("q,value,holder,holder_cols", [
+        (2.0, 54.071262722045375, 39.492269725975476,
+         (33.520043408757694, 20.881715877393773)),
+        (1.5, 46.66609829603448, 32.08710529996457,
+         (23.793039271771303, 13.933793187330297)),
+    ])
+    def test_literal_norms(self, q, value, holder, holder_cols):
+        spec = ModelSpec(arch="appnp", d=4, h=3, num_classes=3,
+                         activation=ActivationSpec(q=q), gamma=0.2, big_k=4)
+        assert loss_lipschitz(spec, 1.3, 1.7, self.NORMS).value == 4.14375
+        res = gradient_smoothness(spec, 1.3, 1.7, self.NORMS)
+        assert res.value == value
+        assert res.linear_term == 14.578992996069903
+        assert res.holder_term == holder
+        assert res.column_sums == (10.30890481039221, 10.30890481039221)
+        assert res.holder_column_sums == holder_cols
+
+
 class TestSoundnessProbes:
     """Sampled certificates: the full-scale versions run in acceptance."""
 

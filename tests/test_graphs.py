@@ -183,6 +183,14 @@ class TestTeleportFilter:
         f = appnp_filter(p, 0.15, 6)
         np.testing.assert_allclose(f.matmat(x), appnp_apply(p, 0.15, 6, x),
                                    atol=1e-10)
+        # Both against the dense sum_k c_k P^k X.
+        dense = np.asarray(p.to_scipy().todense())
+        expect = sum(c * np.linalg.matrix_power(dense, k) @ x
+                     for k, c in enumerate(appnp_coefficients(0.15, 6)))
+        np.testing.assert_allclose(appnp_apply(p, 0.15, 6, x), expect,
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(f.matmat(x), expect, rtol=1e-12,
+                                   atol=1e-14)
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError):

@@ -127,6 +127,16 @@ class TestLayouts:
                          depth=6)
         assert layout_for(spec).names() == ("W1", "W2", "W3", "W4", "W5", "W6")
 
+    def test_equal_specs_share_one_layout(self):
+        def spec(big_k=5):
+            return ModelSpec(arch="gprgnn", d=3, h=4, num_classes=2,
+                             activation=ActivationSpec(q=1.5), big_k=big_k)
+
+        assert spec() is not spec() and spec() == spec()
+        assert layout_for(spec()) is layout_for(spec())
+        assert layout_for(spec(6)) is not layout_for(spec())
+        assert layout_for(spec(6)).dim == layout_for(spec()).dim + 1
+
 
 class TestForwardClosedForms:
     def test_gcn_triangle_hand_computation(self):
