@@ -324,7 +324,7 @@ def _analyze_one(bundle, args, model: str) -> dict:
         batch_size=1, eval_every=max(1, args.big_t // 10))
     w1 = init_params(spec, args.seed)
     report = _constants(spec, ops, bundle, w1, c_w_override=args.cw)
-    warnings = list(report.warnings)
+    warnings: list[str] = []
 
     radius = args.radius
     if radius is None:
@@ -456,6 +456,8 @@ def cmd_gradcheck(args) -> int:
     models = list(MODEL_CHOICES[:5]) if args.model == "all" else [args.model]
     if args.step <= 0.0:
         raise UsageError("--step must be positive")
+    if args.instances < 1:
+        raise UsageError("--instances must be >= 1")
     failed = False
     for model in models:
         worst = 0.0

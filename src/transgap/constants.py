@@ -23,7 +23,6 @@ import numpy as np
 from .graphs import (PropagationMatrix, appnp_coefficients, degree_bound,
                      gpr_powers)
 from .models import ModelSpec, ParamLayout, layout_for
-from .rng import stream
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,34 +38,15 @@ class SpectralEstimate:
     iterations: int
 
 
-def spectral_norm(mat: np.ndarray, tol: float = 1e-10,
-                  max_iter: int = 10000, seed: int = 0) -> SpectralEstimate:
-    """Largest singular value by power iteration on M^T M.
+def spectral_norm(mat: np.ndarray) -> SpectralEstimate:
+    """Largest singular value, exactly (numpy's 2-norm, from the SVD).
 
-    Stops when the Rayleigh quotient changes by less than ``tol``; reports
-    the last estimate with converged=False if the budget runs out.
+    ``converged`` and ``iterations`` are kept for callers that read them:
+    always True and 0.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim == 1:
-        return SpectralEstimate(float(np.linalg.norm(mat)), True, 0)
-    rng = stream(seed, "power_iteration")
-    v = rng.normal(size=mat.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for it in range(1, max_iter + 1):
-        u = mat @ v
-        s = float(np.linalg.norm(u))
-        if s == 0.0:
-            return SpectralEstimate(0.0, True, it)
-        v = mat.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return SpectralEstimate(0.0, True, it)
-        v /= nv
-        if abs(s - prev) <= tol * max(1.0, s):
-            return SpectralEstimate(s, True, it)
-        prev = s
-    return SpectralEstimate(prev, False, max_iter)
+    order = None if mat.ndim == 1 else 2
+    return SpectralEstimate(float(np.linalg.norm(mat, order)), True, 0)
 
 
 def compute_cx(x: np.ndarray) -> float:
@@ -76,25 +56,15 @@ def compute_cx(x: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(x, axis=1)))
 
 
-def compute_cw(w: np.ndarray, layout: ParamLayout,
-               ) -> tuple[float, list[str]]:
+def compute_cw(w: np.ndarray, layout: ParamLayout) -> float:
     """Largest spectral norm over the matrix blocks of w.
 
     Vector blocks (the spectral-filter coefficients) are skipped: they are
-    not weight matrices under the spectral-norm bound.  Returns the value
-    and any non-convergence warnings.
+    not weight matrices under the spectral-norm bound.
     """
-    best = 0.0
-    warnings: list[str] = []
-    for name, shape in layout.blocks:
-        if len(shape) == 1:
-            continue
-        est = spectral_norm(layout.view(w, name))
-        if not est.converged:
-            warnings.append(f"power iteration on {name} not converged; "
-                            f"using last estimate {est.value:.6g}")
-        best = max(best, est.value)
-    return best, warnings
+    return max((spectral_norm(layout.view(w, name)).value
+                for name, shape in layout.blocks if len(shape) > 1),
+               default=0.0)
 
 
 @dataclass(frozen=True)
@@ -371,7 +341,6 @@ class ConstantsReport:
     degree_bound_value: float
     lipschitz_parts: LipschitzParts | None = None
     l_f_zero_hypers: float | None = None
-    warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         d = {
@@ -405,11 +374,8 @@ def constants_report(spec: ModelSpec, p: PropagationMatrix, x: np.ndarray,
     """Measure c_X / c_W on real data and evaluate both constants."""
     layout = layout_for(spec)
     c_x = compute_cx(x)
-    warnings: list[str] = []
-    if c_w_override is not None:
-        c_w = float(c_w_override)
-    else:
-        c_w, warnings = compute_cw(w, layout)
+    c_w = (float(c_w_override) if c_w_override is not None
+           else compute_cw(w, layout))
     gamma = layout.view(w, "gamma") if spec.arch == "gprgnn" else None
     norms = measure_norms(spec, p, gamma=gamma)
     lip = loss_lipschitz(spec, c_x, c_w, norms)
@@ -425,5 +391,4 @@ def constants_report(spec: ModelSpec, p: PropagationMatrix, x: np.ndarray,
                            alpha_tilde=spec.activation.alpha_tilde,
                            degree_bound_value=db,
                            lipschitz_parts=lip.parts,
-                           l_f_zero_hypers=zero,
-                           warnings=tuple(warnings))
+                           l_f_zero_hypers=zero)

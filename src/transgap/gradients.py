@@ -1,11 +1,12 @@
 """Analytic per-sample gradients, batched mean gradients, and an FD oracle.
 
-``grad_sample`` returns the exact gradient of one node's cross-entropy with
-respect to the flat parameter vector, assembled from closed-form chain-rule
-expressions (outer products filled into the column-major layout).
-``grad_mean`` computes the mean (or any weighted sum) of per-sample
-gradients over an index multiset with one vectorized backward pass; it
-agrees with averaging per-sample gradients up to float64 rounding.
+``_backward`` is each architecture's one backward pass from a logit-error
+matrix.  ``grad_mean`` runs it on the errors of an index multiset to get
+the mean (or any weighted sum) of per-sample gradients.  ``grad_sample``
+returns the exact gradient of one node's cross-entropy; it runs
+``_backward`` on one error row for deeper gcn / gcnii stacks and keeps
+closed forms only where they measure faster: depth-2 gcn and gcnii, sgc,
+and the appnp / gprgnn filter row (which feeds the same MLP backward).
 ``fd_gradient`` is the independent central-difference oracle used by the
 test suite and the gradcheck command.
 """
@@ -18,12 +19,6 @@ from .activations import act_deriv
 from .graphs import gpr_powers
 from .models import (ForwardCache, ModelSpec, PropOps, forward, gcnii_psi,
                      layout_for, loss_sample, softmax_rows)
-
-
-def _error_row(cache: ForwardCache, i: int, label: int) -> np.ndarray:
-    e = cache.probs[i].copy()
-    e[label] -= 1.0
-    return e
 
 
 def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
@@ -39,7 +34,8 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     if spec.arch in ("appnp", "gprgnn"):
         _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label)
         return g
-    err = _error_row(cache, i, label)
+    err = cache.probs[i].copy()
+    err[label] -= 1.0
 
     if spec.arch == "gcn" and spec.depth == 2:
         w2 = mats["W2"]
@@ -48,10 +44,6 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         nbr, a = ops.p.row(i)
         z1, sp1 = cache.zs[0], act_deriv(act, cache.pres[0][nbr])
         layout.view(g, "W1")[...] = (z1[nbr].T @ (a[:, None] * sp1)) * u[None, :]
-    elif spec.arch == "gcn":
-        delta = np.zeros((ops.n, spec.num_classes))
-        delta[i] = err
-        _gcn_backward(spec, ops, cache, layout, mats, g, delta)
     elif spec.arch == "sgc":
         layout.view(g, "W2")[...] = np.outer(cache.zw1[i], err)
         layout.view(g, "W1")[...] = np.outer(cache.z[i], err @ mats["W2"].T)
@@ -74,10 +66,10 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         scatter[nbr] = a[:, None] * v
         gh0 += (1.0 - alphas[0]) * ops.propagate(scatter)
         layout.view(g, "W0")[...] = x.T @ (act_deriv(act, cache.pres[0]) * gh0)
-    else:  # gcnii, deeper stacks
+    else:  # deeper gcn and gcnii stacks
         delta = np.zeros((ops.n, spec.num_classes))
         delta[i] = err
-        _gcnii_backward(spec, ops, x, cache, layout, mats, g, delta)
+        _backward(spec, ops, x, cache, layout, mats, g, delta)
     return g
 
 
@@ -85,10 +77,8 @@ def _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label):
     """Per-sample backward of appnp / gprgnn from row i of the filter.
 
     Node i's logits are that row times the MLP output h (for gprgnn, the
-    gamma-weighted rows of P^k), so no whole-graph product is needed.  With
-    v = row * sigma'(pre2) * err, the W1 block is
-    sum_c ((x * v_c)^T sigma'(pre1)) * W2[:, c], which keeps every n-row
-    temporary c or d columns wide.
+    gamma-weighted rows of P^k), so no whole-graph product is needed: the
+    logit error enters the MLP backward as row * sigma'(pre2) * err.
     """
     h = cache.h
     if spec.arch == "appnp":
@@ -103,43 +93,59 @@ def _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label):
     err[label] -= 1.0
     if spec.arch == "gprgnn":
         layout.view(g, "gamma")[...] = hop_logits @ err
-    v = row[:, None] * cache.sp2
-    v *= err
-    layout.view(g, "W2")[...] = cache.s1.T @ v
-    gw1, w2 = layout.view(g, "W1"), mats["W2"]
-    for c in range(spec.num_classes):
-        gw1 += ((x * v[:, c:c + 1]).T @ cache.sp1) * w2[:, c]
+    dpre2 = row[:, None] * cache.sp2
+    dpre2 *= err
+    _mlp_backward(x, cache, layout, mats, g, dpre2)
 
 
-def _gcn_backward(spec, ops, cache, layout, mats, g, delta):
-    """Plain-stack backward pass from a logit-error matrix."""
+def _mlp_backward(x, cache, layout, mats, g, dpre2):
+    """W2 and W1 blocks of the node-wise MLP of appnp / gprgnn from the
+    error at its output pre-activation."""
+    layout.view(g, "W2")[...] = cache.s1.T @ dpre2
+    dpre1 = (dpre2 @ mats["W2"].T) * cache.sp1
+    layout.view(g, "W1")[...] = x.T @ dpre1
+
+
+def _backward(spec, ops, x, cache, layout, mats, g, delta):
+    """The backward pass of each architecture from a logit-error matrix
+    (one row per node of ``ops``)."""
     act = spec.activation
     depth = spec.depth
-    layout.view(g, f"W{depth}")[...] = cache.z_last.T @ delta
-    dh = ops.propagate(delta @ mats[f"W{depth}"].T)
-    for l in range(depth - 1, 0, -1):
-        dpre = dh * act_deriv(act, cache.pres[l - 1])
-        layout.view(g, f"W{l}")[...] = cache.zs[l - 1].T @ dpre
-        if l > 1:
-            dh = ops.propagate(dpre @ mats[f"W{l}"].T)
-
-
-def _gcnii_backward(spec, ops, x, cache, layout, mats, g, delta):
-    """Identity-mapping backward pass from a logit-error matrix."""
-    act = spec.activation
-    alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-    depth = spec.depth
-    layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth].T @ delta
-    dh = delta @ mats[f"W{depth + 1}"].T
-    dh0 = np.zeros((ops.n, spec.h))
-    for l in range(depth, 0, -1):
-        dpre = dh * act_deriv(act, cache.pres[l])
-        layout.view(g, f"W{l}")[...] = betas[l - 1] * (cache.aggs[l - 1].T @ dpre)
-        dm = dpre @ gcnii_psi(spec, mats, l).T
-        dh0 += alphas[l - 1] * dm
-        dh = (1.0 - alphas[l - 1]) * ops.propagate(dm)
-    dh0 += dh
-    layout.view(g, "W0")[...] = x.T @ (dh0 * act_deriv(act, cache.pres[0]))
+    if spec.arch == "gcn":
+        layout.view(g, f"W{depth}")[...] = cache.z_last.T @ delta
+        dh = ops.propagate(delta @ mats[f"W{depth}"].T)
+        for l in range(depth - 1, 0, -1):
+            dpre = dh * act_deriv(act, cache.pres[l - 1])
+            layout.view(g, f"W{l}")[...] = cache.zs[l - 1].T @ dpre
+            if l > 1:
+                dh = ops.propagate(dpre @ mats[f"W{l}"].T)
+    elif spec.arch == "sgc":
+        layout.view(g, "W2")[...] = cache.zw1.T @ delta
+        layout.view(g, "W1")[...] = cache.z.T @ (delta @ mats["W2"].T)
+    elif spec.arch in ("appnp", "gprgnn"):
+        if spec.arch == "appnp":
+            dh = ops.appnp_mat(delta)
+        else:
+            gg = layout.view(g, "gamma")
+            for k in range(spec.big_k + 1):
+                gg[k] = float(np.sum(delta * cache.stack[k]))
+            dstack = gpr_powers(ops.p, delta, spec.big_k)
+            dh = np.tensordot(mats["gamma"], dstack, axes=(0, 0))
+        _mlp_backward(x, cache, layout, mats, g, dh * cache.sp2)
+    else:  # gcnii
+        alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
+        layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth].T @ delta
+        dh = delta @ mats[f"W{depth + 1}"].T
+        dh0 = np.zeros((ops.n, spec.h))
+        for l in range(depth, 0, -1):
+            dpre = dh * act_deriv(act, cache.pres[l])
+            layout.view(g, f"W{l}")[...] = betas[l - 1] * (
+                cache.aggs[l - 1].T @ dpre)
+            dm = dpre @ gcnii_psi(spec, mats, l).T
+            dh0 += alphas[l - 1] * dm
+            dh = (1.0 - alphas[l - 1]) * ops.propagate(dm)
+        dh0 += dh
+        layout.view(g, "W0")[...] = x.T @ (dh0 * act_deriv(act, cache.pres[0]))
 
 
 def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
@@ -166,26 +172,7 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     np.add.at(delta, idx,
               err / idx.size if weights is None else err * weights[:, None])
 
-    if spec.arch == "gcn":
-        _gcn_backward(spec, ops, cache, layout, mats, g, delta)
-    elif spec.arch == "sgc":
-        layout.view(g, "W2")[...] = cache.zw1.T @ delta
-        layout.view(g, "W1")[...] = cache.z.T @ (delta @ mats["W2"].T)
-    elif spec.arch in ("appnp", "gprgnn"):
-        if spec.arch == "appnp":
-            dh = ops.appnp_mat(delta)
-        else:
-            gg = layout.view(g, "gamma")
-            for k in range(spec.big_k + 1):
-                gg[k] = float(np.sum(delta * cache.stack[k]))
-            dstack = gpr_powers(ops.p, delta, spec.big_k)
-            dh = np.tensordot(mats["gamma"], dstack, axes=(0, 0))
-        dpre2 = dh * cache.sp2
-        layout.view(g, "W2")[...] = cache.s1.T @ dpre2
-        dpre1 = (dpre2 @ mats["W2"].T) * cache.sp1
-        layout.view(g, "W1")[...] = x.T @ dpre1
-    else:  # gcnii
-        _gcnii_backward(spec, ops, x, cache, layout, mats, g, delta)
+    _backward(spec, ops, x, cache, layout, mats, g, delta)
     return g
 
 

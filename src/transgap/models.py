@@ -76,10 +76,8 @@ class ModelSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.arch == "appnp" and self.big_k < 1:
-            raise ValueError("appnp needs K >= 1")
-        if self.arch == "gprgnn" and self.big_k < 0:
-            raise ValueError("gprgnn needs K >= 0")
+        if self.arch in ("appnp", "gprgnn") and self.big_k < 1:
+            raise ValueError("appnp and gprgnn need K >= 1")
         if self.depth < 2:
             raise ValueError("depth must be >= 2")
         if self.depth != 2 and self.arch not in ("gcn", "gcnii"):
@@ -125,33 +123,32 @@ class ParamLayout:
     blocks: tuple[tuple[str, tuple[int, ...]], ...]
     offsets: tuple[int, ...] = field(init=False)
     dim: int = field(init=False)
+    # name -> (slice of the flat vector, block shape)
+    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        offs, total = [], 0
-        for _, shape in self.blocks:
+        offs, table, total = [], {}, 0
+        for name, shape in self.blocks:
+            size = math.prod(shape)
             offs.append(total)
-            total += math.prod(shape)
+            table[name] = (slice(total, total + size), shape)
+            total += size
         object.__setattr__(self, "offsets", tuple(offs))
         object.__setattr__(self, "dim", total)
+        object.__setattr__(self, "_table", table)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.blocks)
 
     def slice_of(self, name: str) -> slice:
-        for (bname, shape), off in zip(self.blocks, self.offsets):
-            if bname == name:
-                return slice(off, off + math.prod(shape))
-        raise KeyError(name)
+        return self._table[name][0]
 
     def view(self, w: np.ndarray, name: str) -> np.ndarray:
         """Matrix (or vector) view of one block; writes go through to w."""
-        for (bname, shape), off in zip(self.blocks, self.offsets):
-            if bname == name:
-                flat = w[off:off + math.prod(shape)]
-                if len(shape) == 1:
-                    return flat
-                return flat.reshape(shape, order="F")
-        raise KeyError(name)
+        block, shape = self._table[name]
+        if len(shape) == 1:
+            return w[block]
+        return w[block].reshape(shape, order="F")
 
     def matrices(self, w: np.ndarray) -> dict[str, np.ndarray]:
         return {name: self.view(w, name) for name, _ in self.blocks}
@@ -336,20 +333,18 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
     act = spec.activation
 
     if spec.arch == "gcn":
-        zs, pres, hs = [], [], []
+        zs, pres = [], []
         m = x
         for l in range(1, spec.depth):
             z = ops.propagate(m)
             pre = z @ mats[f"W{l}"]
-            h = act_eval(act, pre)
             zs.append(z)
             pres.append(pre)
-            hs.append(h)
-            m = h
+            m = act_eval(act, pre)
         z_last = ops.propagate(m)
         logits = z_last @ mats[f"W{spec.depth}"]
         _check_finite(logits, "gcn logits")
-        cache = ForwardCache(zs=zs, pres=pres, hs=hs, z_last=z_last)
+        cache = ForwardCache(zs=zs, pres=pres, z_last=z_last)
     elif spec.arch == "sgc":
         z = ops.propagate(ops.propagate(x))
         zw1 = z @ mats["W1"]

@@ -54,7 +54,7 @@ def sample_weight_pair(spec, base_seed: int, pair_seed: int, radius: float = 0.5
     direction = rng.normal(size=layout.dim)
     direction *= radius * rng.random() / np.linalg.norm(direction)
     w2 = w + direction
-    cw = max(compute_cw(w, layout)[0], compute_cw(w2, layout)[0])
+    cw = max(compute_cw(w, layout), compute_cw(w2, layout))
     return w, w2, cw
 
 

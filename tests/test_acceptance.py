@@ -383,7 +383,7 @@ def test_criterion_8_small_instance_oracles():
                      activation=ActivationSpec(q=2.0))
     layout = layout_for(spec)
     w = init_params(spec, 3)
-    cw, _ = compute_cw(w, layout)
+    cw = compute_cw(w, layout)
     brute = max(np.linalg.svd(layout.view(w, n))[1][0]
                 for n, _ in layout.blocks)
     svd_ok &= abs(cw - brute) <= 1e-8

@@ -65,6 +65,15 @@ def test_argument_positions_read_by_the_tracer(tracer, mod, qual, params):
     assert names[:len(params)] == params
 
 
+def test_spectral_norm_reports_integer_iterations():
+    """The tracer sums ``spectral_norm(...).iterations`` as a count."""
+    from transgap.constants import spectral_norm
+
+    for mat in (np.diag([3.0, 1.0]), np.ones(4)):
+        iterations = spectral_norm(mat).iterations
+        assert isinstance(iterations, int) and not isinstance(iterations, bool)
+
+
 def test_propops_keeps_filter_attribute():
     graph, _ = sbm_generate([5, 5], 0.5, 0.1, seed=0)
     p = normalized_adjacency(graph)

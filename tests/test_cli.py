@@ -125,6 +125,27 @@ class TestExitCodes:
         assert f"usage error: {message}" in res.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "train"])
+    @pytest.mark.parametrize("model", ["appnp", "gprgnn"])
+    def test_filter_model_without_hops_is_usage_error(self, command, model,
+                                                      bundle_dir, tmp_path):
+        res = run_cli([command, "--data", str(bundle_dir), "--model", model,
+                       "--K", "0", "--T", "2",
+                       "--out", str(tmp_path / "o")], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "usage error: appnp and gprgnn need K >= 1" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_gradcheck_without_instances_is_usage_error(self, instances,
+                                                         tmp_path):
+        res = run_cli(["gradcheck", "--model", "sgc",
+                       "--instances", instances], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "usage error: --instances must be >= 1" in res.stderr
+        assert "PASS" not in res.stdout
+
     def test_bad_gen_flag_is_usage_error(self, tmp_path):
         res = run_cli(["gen", "--blocks", "5,5", "--pin", "2",
                        "--out", str(tmp_path / "g")], tmp_path)

@@ -40,9 +40,7 @@ class TestMeasuredConstants:
         w = np.zeros(layout.dim)
         for name, _ in layout.blocks:
             np.fill_diagonal(layout.view(w, name), 1.0)
-        value, warnings = compute_cw(w, layout)
-        assert value == pytest.approx(1.0)
-        assert warnings == []
+        assert compute_cw(w, layout) == pytest.approx(1.0)
 
     def test_cw_diagonal(self):
         assert spectral_norm(np.diag([2.0, 1.0])).value == pytest.approx(2.0)
@@ -54,15 +52,14 @@ class TestMeasuredConstants:
             est = spectral_norm(m)
             assert est.converged
             assert est.value == pytest.approx(np.linalg.svd(m)[1][0],
-                                              abs=1e-8)
+                                              rel=1e-13)
 
     def test_cw_skips_coefficient_block(self):
         spec = spec_for("gprgnn")
         layout = layout_for(spec)
         w = init_params(spec, 0)
         layout.view(w, "gamma")[...] = 100.0  # must not contaminate c_W
-        value, _ = compute_cw(w, layout)
-        assert value < 5.0
+        assert compute_cw(w, layout) < 5.0
 
 
 def triangle_norms():

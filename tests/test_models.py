@@ -3,6 +3,7 @@ import pytest
 
 from transgap.activations import ActivationSpec, act_eval
 from transgap.datasets import sbm_bundle
+from transgap.experiments import MODEL_CHOICES, model_spec_for
 from transgap.graphs import build_graph, normalized_adjacency
 from transgap.models import (ModelSpec, PropOps, forward, init_params,
                              layout_for, node_loss, softmax_xent)
@@ -127,6 +128,41 @@ class TestLayouts:
                          depth=6)
         assert layout_for(spec).names() == ("W1", "W2", "W3", "W4", "W5", "W6")
 
+    # d=3, h=4, two classes, K=3: every model's blocks in layout order
+    BLOCKS = {
+        "gcn": [("W1", (3, 4)), ("W2", (4, 2))],
+        "sgc": [("W1", (3, 4)), ("W2", (4, 2))],
+        "appnp": [("W1", (3, 4)), ("W2", (4, 2))],
+        "gprgnn": [("W1", (3, 4)), ("W2", (4, 2)), ("gamma", (4,))],
+        "gcnii": [("W0", (3, 4)), ("W1", (4, 4)), ("W2", (4, 4)),
+                  ("W3", (4, 2))],
+        "gcn6": [("W1", (3, 4))] + [(f"W{l}", (4, 4)) for l in range(2, 6)]
+                + [("W6", (4, 2))],
+        "gcnii6": [("W0", (3, 4))] + [(f"W{l}", (4, 4)) for l in range(1, 7)]
+                  + [("W7", (4, 2))],
+    }
+
+    @pytest.mark.parametrize("model", MODEL_CHOICES)
+    def test_slice_and_view_of_every_block(self, model):
+        layout = layout_for(model_spec_for(model, d=3, num_classes=2,
+                                           hidden=4, big_k=3))
+        w = np.arange(float(layout.dim))
+        offset = 0
+        for name, shape in self.BLOCKS[model]:
+            size = int(np.prod(shape))
+            assert layout.slice_of(name) == slice(offset, offset + size)
+            expect = w[offset:offset + size].reshape(shape, order="F")
+            view = layout.view(w, name)
+            assert view.shape == shape
+            assert np.array_equal(view, expect)
+            assert np.shares_memory(view, w)
+            offset += size
+        assert layout.dim == offset
+        with pytest.raises(KeyError):
+            layout.slice_of("W99")
+        with pytest.raises(KeyError):
+            layout.view(w, "W99")
+
     def test_equal_specs_share_one_layout(self):
         def spec(big_k=5):
             return ModelSpec(arch="gprgnn", d=3, h=4, num_classes=2,
@@ -145,7 +181,8 @@ class TestForwardClosedForms:
         cache = forward(spec, ops, np.eye(3), identity_params(spec))
         third = np.full((3, 3), 1 / 3)
         np.testing.assert_allclose(cache.zs[0], third, atol=1e-15)
-        np.testing.assert_allclose(cache.hs[0], third ** 2, atol=1e-15)
+        np.testing.assert_allclose(act_eval(Q2, cache.pres[0]), third ** 2,
+                                   atol=1e-15)
         np.testing.assert_allclose(cache.z_last, third ** 2, atol=1e-15)
         np.testing.assert_allclose(cache.probs, 1 / 3, atol=1e-15)
         assert node_loss(cache, 0, 0) == pytest.approx(np.log(3.0))
