@@ -458,6 +458,10 @@ def cmd_gradcheck(args) -> int:
         raise UsageError("--step must be positive")
     if args.instances < 1:
         raise UsageError("--instances must be >= 1")
+    if args.classes < 2:  # one class: softmax constant, both gradients 0
+        raise UsageError("--classes must be >= 2")
+    if not args.tol >= 0.0:
+        raise UsageError("--tol must be a nonnegative number")
     failed = False
     for model in models:
         worst = 0.0

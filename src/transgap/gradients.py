@@ -1,12 +1,12 @@
 """Analytic per-sample gradients, batched mean gradients, and an FD oracle.
 
-``_backward`` is each architecture's one backward pass from a logit-error
-matrix.  ``grad_mean`` runs it on the errors of an index multiset to get
-the mean (or any weighted sum) of per-sample gradients.  ``grad_sample``
-returns the exact gradient of one node's cross-entropy; it runs
-``_backward`` on one error row for deeper gcn / gcnii stacks and keeps
-closed forms only where they measure faster: depth-2 gcn and gcnii, sgc,
-and the appnp / gprgnn filter row (which feeds the same MLP backward).
+``_backward`` is each architecture's one backward pass from the logit
+errors of a set of rows.  ``grad_mean`` runs it on every row, with the
+errors of an index multiset, to get the mean (or any weighted sum) of
+per-sample gradients.  ``grad_sample`` returns the exact gradient of one
+node's cross-entropy: for gcn, sgc and gcnii it runs ``_backward`` on that
+node's error row, whose first hop spreads along the node's row of P; appnp
+and gprgnn read one row of their filter, which feeds the same MLP backward.
 ``fd_gradient`` is the independent central-difference oracle used by the
 test suite and the gradcheck command.
 """
@@ -17,8 +17,8 @@ import numpy as np
 
 from .activations import act_deriv
 from .graphs import gpr_powers
-from .models import (ForwardCache, ModelSpec, PropOps, forward, gcnii_psi,
-                     layout_for, loss_sample, softmax_rows)
+from .models import (ForwardCache, ModelSpec, PropOps, forward, layout_for,
+                     loss_sample, softmax_rows)
 
 
 def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
@@ -29,47 +29,13 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         cache = forward(spec, ops, x, w)
     layout = layout_for(spec)
     mats = layout.matrices(w)
-    act = spec.activation
     g = np.zeros(layout.dim)
     if spec.arch in ("appnp", "gprgnn"):
         _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label)
         return g
-    err = cache.probs[i].copy()
-    err[label] -= 1.0
-
-    if spec.arch == "gcn" and spec.depth == 2:
-        w2 = mats["W2"]
-        layout.view(g, "W2")[...] = np.outer(cache.z_last[i], err)
-        u = err @ w2.T
-        nbr, a = ops.p.row(i)
-        z1, sp1 = cache.zs[0], act_deriv(act, cache.pres[0][nbr])
-        layout.view(g, "W1")[...] = (z1[nbr].T @ (a[:, None] * sp1)) * u[None, :]
-    elif spec.arch == "sgc":
-        layout.view(g, "W2")[...] = np.outer(cache.zw1[i], err)
-        layout.view(g, "W1")[...] = np.outer(cache.z[i], err @ mats["W2"].T)
-    elif spec.arch == "gcnii" and spec.depth == 2:
-        alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-        w_out = mats["W3"]
-        layout.view(g, "W3")[...] = np.outer(cache.hs[2][i], err)
-        delta = (err @ w_out.T) * act_deriv(act, cache.pres[2][i])
-        layout.view(g, "W2")[...] = betas[1] * np.outer(cache.aggs[1][i], delta)
-        u2 = delta @ gcnii_psi(spec, mats, 2).T
-        nbr, a = ops.p.row(i)
-        dij = (1.0 - alphas[1]) * act_deriv(act, cache.pres[1][nbr]) * u2[None, :]
-        layout.view(g, "W1")[...] = betas[0] * (
-            cache.aggs[0][nbr].T @ (a[:, None] * dij))
-        gh0 = np.zeros((ops.n, spec.h))
-        gh0[i] += alphas[1] * u2
-        v = dij @ gcnii_psi(spec, mats, 1).T
-        gh0[nbr] += alphas[0] * a[:, None] * v
-        scatter = np.zeros((ops.n, spec.h))
-        scatter[nbr] = a[:, None] * v
-        gh0 += (1.0 - alphas[0]) * ops.propagate(scatter)
-        layout.view(g, "W0")[...] = x.T @ (act_deriv(act, cache.pres[0]) * gh0)
-    else:  # deeper gcn and gcnii stacks
-        delta = np.zeros((ops.n, spec.num_classes))
-        delta[i] = err
-        _backward(spec, ops, x, cache, layout, mats, g, delta)
+    err = cache.probs[i:i + 1].copy()
+    err[0, label] -= 1.0
+    _backward(spec, ops, x, cache, layout, mats, g, slice(i, i + 1), err)
     return g
 
 
@@ -106,45 +72,62 @@ def _mlp_backward(x, cache, layout, mats, g, dpre2):
     layout.view(g, "W1")[...] = x.T @ dpre1
 
 
-def _backward(spec, ops, x, cache, layout, mats, g, delta):
-    """The backward pass of each architecture from a logit-error matrix
-    (one row per node of ``ops``)."""
+def _spread(ops, rows, m):
+    """P @ M for an M that lives on ``rows``, as (rows, values): one node
+    spreads along its own row of P (P is symmetric), any other row set
+    (every node, or an index array) takes one whole-graph product."""
+    if not isinstance(rows, slice):
+        full = np.zeros((ops.n, m.shape[1]))
+        full[rows] = m
+        m = full
+    elif rows != slice(None):
+        nbr, a = ops.p.row(rows.start)
+        return nbr, a[:, None] * m
+    return slice(None), ops.propagate(m)
+
+
+def _backward(spec, ops, x, cache, layout, mats, g, rows, err):
+    """The backward pass of each architecture from logit errors ``err``,
+    one row for each node in ``rows`` (a ``_spread`` row set; appnp and
+    gprgnn take every node)."""
     act = spec.activation
     depth = spec.depth
     if spec.arch == "gcn":
-        layout.view(g, f"W{depth}")[...] = cache.z_last.T @ delta
-        dh = ops.propagate(delta @ mats[f"W{depth}"].T)
+        layout.view(g, f"W{depth}")[...] = cache.z_last[rows].T @ err
+        rows, dh = _spread(ops, rows, err @ mats[f"W{depth}"].T)
         for l in range(depth - 1, 0, -1):
-            dpre = dh * act_deriv(act, cache.pres[l - 1])
-            layout.view(g, f"W{l}")[...] = cache.zs[l - 1].T @ dpre
+            dpre = dh * act_deriv(act, cache.pres[l - 1][rows])
+            layout.view(g, f"W{l}")[...] = cache.zs[l - 1][rows].T @ dpre
             if l > 1:
-                dh = ops.propagate(dpre @ mats[f"W{l}"].T)
+                rows, dh = _spread(ops, rows, dpre @ mats[f"W{l}"].T)
     elif spec.arch == "sgc":
-        layout.view(g, "W2")[...] = cache.zw1.T @ delta
-        layout.view(g, "W1")[...] = cache.z.T @ (delta @ mats["W2"].T)
+        layout.view(g, "W2")[...] = cache.zw1[rows].T @ err
+        layout.view(g, "W1")[...] = cache.z[rows].T @ (err @ mats["W2"].T)
     elif spec.arch in ("appnp", "gprgnn"):
         if spec.arch == "appnp":
-            dh = ops.appnp_mat(delta)
+            dh = ops.appnp_mat(err)
         else:
             gg = layout.view(g, "gamma")
             for k in range(spec.big_k + 1):
-                gg[k] = float(np.sum(delta * cache.stack[k]))
-            dstack = gpr_powers(ops.p, delta, spec.big_k)
+                gg[k] = float(np.sum(err * cache.stack[k]))
+            dstack = gpr_powers(ops.p, err, spec.big_k)
             dh = np.tensordot(mats["gamma"], dstack, axes=(0, 0))
         _mlp_backward(x, cache, layout, mats, g, dh * cache.sp2)
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-        layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth].T @ delta
-        dh = delta @ mats[f"W{depth + 1}"].T
+        layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth][rows].T @ err
+        dh = err @ mats[f"W{depth + 1}"].T
+        # All rows: without self-loops the hops' supports need not nest.
         dh0 = np.zeros((ops.n, spec.h))
         for l in range(depth, 0, -1):
-            dpre = dh * act_deriv(act, cache.pres[l])
+            dpre = dh * act_deriv(act, cache.pres[l][rows])
             layout.view(g, f"W{l}")[...] = betas[l - 1] * (
-                cache.aggs[l - 1].T @ dpre)
-            dm = dpre @ gcnii_psi(spec, mats, l).T
-            dh0 += alphas[l - 1] * dm
-            dh = (1.0 - alphas[l - 1]) * ops.propagate(dm)
-        dh0 += dh
+                cache.aggs[l - 1][rows].T @ dpre)
+            dm = dpre @ cache.psis[l - 1].T
+            dh0[rows] += alphas[l - 1] * dm
+            rows, dh = _spread(ops, rows, dm)
+            dh = (1.0 - alphas[l - 1]) * dh
+        dh0[rows] += dh
         layout.view(g, "W0")[...] = x.T @ (dh0 * act_deriv(act, cache.pres[0]))
 
 
@@ -172,7 +155,7 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     np.add.at(delta, idx,
               err / idx.size if weights is None else err * weights[:, None])
 
-    _backward(spec, ops, x, cache, layout, mats, g, delta)
+    _backward(spec, ops, x, cache, layout, mats, g, slice(None), delta)
     return g
 
 

@@ -369,7 +369,7 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
         pre0 = x @ mats["W0"]
         h0 = act_eval(act, pre0)
-        hs, pres, aggs = [h0], [pre0], []
+        hs, pres, aggs, psis = [h0], [pre0], [], []
         h = h0
         for l in range(1, spec.depth + 1):
             a_l, b_l = alphas[l - 1], betas[l - 1]
@@ -378,11 +378,12 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
             pre = agg @ psi
             h = act_eval(act, pre)
             aggs.append(agg)
+            psis.append(psi)
             pres.append(pre)
             hs.append(h)
         logits = h @ mats[f"W{spec.depth + 1}"]
         _check_finite(logits, "gcnii logits")
-        cache = ForwardCache(hs=hs, pres=pres, aggs=aggs)
+        cache = ForwardCache(hs=hs, pres=pres, aggs=aggs, psis=psis)
 
     probs = softmax_rows(logits)
     cache.logits = logits
@@ -414,11 +415,6 @@ def node_loss(cache: ForwardCache, i: int, label: int) -> float:
 def loss_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
                 i: int, label: int) -> float:
     return node_loss(forward(spec, ops, x, w), i, label)
-
-
-def gcnii_psi(spec: ModelSpec, mats: dict[str, np.ndarray], l: int) -> np.ndarray:
-    b_l = spec.gcnii_betas()[l - 1]
-    return (1.0 - b_l) * np.eye(spec.h) + b_l * mats[f"W{l}"]
 
 
 def save_params(spec: ModelSpec, w: np.ndarray, path) -> None:

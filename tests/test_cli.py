@@ -146,6 +146,18 @@ class TestExitCodes:
         assert "usage error: --instances must be >= 1" in res.stderr
         assert "PASS" not in res.stdout
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--classes=1", "--classes must be >= 2"),
+        ("--classes=0", "--classes must be >= 2"),
+        ("--tol=-1", "--tol must be a nonnegative number"),
+        ("--tol=nan", "--tol must be a nonnegative number"),
+    ])
+    def test_gradcheck_bad_flag_is_usage_error(self, flag, message, tmp_path):
+        res = run_cli(["gradcheck", "--model", "all", flag], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert f"usage error: {message}" in res.stderr
+        assert res.stdout == ""  # rejected before any check ran
+
     def test_bad_gen_flag_is_usage_error(self, tmp_path):
         res = run_cli(["gen", "--blocks", "5,5", "--pin", "2",
                        "--out", str(tmp_path / "g")], tmp_path)

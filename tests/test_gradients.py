@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-
 from transgap.activations import ActivationSpec
 from transgap.gradients import (central_differences, fd_gradient, grad_mean,
                                 grad_sample, max_relative_error)
-from transgap.graphs import build_graph, normalized_adjacency, sbm_generate
+import scipy.sparse as sp
+
+from transgap.graphs import (PropagationMatrix, build_graph,
+                             normalized_adjacency, sbm_generate)
 from transgap.models import (ModelSpec, PropOps, forward, init_params,
                              layout_for)
 
@@ -56,6 +58,59 @@ class TestClosedFormTriangle:
         cache.probs[:, 1] = 1.0  # exact one-hot at the true label
         grad = grad_sample(spec, ops, x, w, 2, 1, cache=cache)
         assert np.all(grad[layout.slice_of("W2")] == 0.0)
+
+
+# Hub 0 with a triangle and two spokes, the bridge 5-6 into a second
+# triangle, the pendant 9 on node 8, and the isolated node 10.
+SHAPES_EDGES = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (0, 5), (5, 6),
+                (6, 7), (7, 8), (6, 8), (8, 9)]
+SHAPES_NODES = {"hub": 0, "bridge": 5, "pendant": 9, "isolated": 10}
+ROW_ARCHS = ("gcn", "sgc", "gcnii", "gcn6", "gcnii6")
+
+
+def _one_node_instance(arch, p):
+    depth = 6 if arch.endswith("6") else 2
+    spec = ModelSpec(arch=arch.rstrip("6"), d=4, h=5, num_classes=3,
+                     activation=Q2, depth=depth)
+    rng = np.random.default_rng(11)
+    x = 2.0 * rng.normal(size=(p.n, spec.d))
+    labels = rng.integers(0, spec.num_classes, size=p.n)
+    return spec, PropOps(p, spec), x, init_params(spec, seed=3), labels
+
+
+def _assert_sample_is_one_node_mean(arch, p, i):
+    spec, ops, x, w, labels = _one_node_instance(arch, p)
+    gs = grad_sample(spec, ops, x, w, i, int(labels[i]))
+    gm = grad_mean(spec, ops, x, w, np.array([i]), labels)
+    scale = float(np.abs(gm).max())
+    assert float(np.abs(gs - gm).max()) <= 1e-12 * scale
+    return scale
+
+
+class TestOneNodeBackward:
+    """grad_sample spreads the first hop along the node's own row of P;
+    grad_mean on that one node propagates over the whole graph."""
+
+    @pytest.mark.parametrize("where", sorted(SHAPES_NODES))
+    @pytest.mark.parametrize("arch", ROW_ARCHS)
+    def test_matches_one_node_mean(self, arch, where):
+        p = normalized_adjacency(build_graph(SHAPES_EDGES, 11))
+        assert _assert_sample_is_one_node_mean(
+            arch, p, SHAPES_NODES[where]) > 0.0
+
+    @pytest.mark.parametrize("i", range(5))
+    @pytest.mark.parametrize("arch", ROW_ARCHS)
+    def test_without_self_loops(self, arch, i):
+        # The path 0-1-2-3 and the isolated node 4: the supports of
+        # successive hops alternate between even and odd nodes.
+        edges = np.array([[0, 1], [1, 2], [2, 3]])
+        a = sp.coo_matrix((np.full(3, 0.5), (edges[:, 0], edges[:, 1])),
+                          shape=(5, 5))
+        p = PropagationMatrix.from_scipy(a + a.T)
+        scale = _assert_sample_is_one_node_mean(arch, p, i)
+        # Without a self-loop no hop reaches the isolated node's features,
+        # except gcnii's initial-residual path.
+        assert (scale > 0.0) == (i < 4 or arch.startswith("gcnii"))
 
 
 class TestFiniteDifferenceAgreement:
