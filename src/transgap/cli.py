@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -365,6 +366,8 @@ def cmd_analyze(args) -> int:
     for flag, value in (("--radius", args.radius), ("--cw", args.cw)):
         if value is not None and not value >= 0.0:
             raise UsageError(f"{flag} must be nonnegative")
+    if args.mu is not None and not 0.0 < args.mu < math.inf:
+        raise UsageError("--mu must be positive and finite")
     bundle = load_bundle(args.data, args.row_normalize)
     models = MODEL_CHOICES[:5] if args.compare else (args.model,)
     reports = [_analyze_one(bundle, args, m) for m in models]
@@ -454,8 +457,8 @@ def cmd_gradcheck(args) -> int:
     if args.model != "all" and args.model not in MODEL_CHOICES:
         raise UsageError(f"unknown model {args.model!r}")
     models = list(MODEL_CHOICES[:5]) if args.model == "all" else [args.model]
-    if args.step <= 0.0:
-        raise UsageError("--step must be positive")
+    if not 0.0 < args.step < math.inf:
+        raise UsageError("--step must be positive and finite")
     if args.instances < 1:
         raise UsageError("--instances must be >= 1")
     if args.classes < 2:  # one class: softmax constant, both gradients 0

@@ -154,6 +154,10 @@ def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
     if x.shape != (n, d):
         raise BundleFormatError(
             f"features.csv has shape {x.shape}, meta says {(n, d)}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise BundleFormatError(f"{root / 'features.csv'}: non-finite value "
+                                f"for node {int(np.argmin(finite))}")
     labels = _load_table(root / "labels.csv", np.int64, ndmin=1)
     if labels.shape != (n,):
         raise BundleFormatError(f"labels.csv has {labels.shape[0]} rows, need {n}")
@@ -171,16 +175,10 @@ def save_bundle(bundle: DatasetBundle, path) -> None:
     """Write a bundle directory with byte-stable formatting."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    edges = bundle.graph.undirected_edges()
-    with open(root / "edges.tsv", "w", encoding="utf-8") as fh:
-        for u, v in edges:
-            fh.write(f"{u}\t{v}\n")
-    with open(root / "features.csv", "w", encoding="utf-8") as fh:
-        for row in bundle.x:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    with open(root / "labels.csv", "w", encoding="utf-8") as fh:
-        for y in bundle.labels:
-            fh.write(f"{int(y)}\n")
+    np.savetxt(root / "edges.tsv", bundle.graph.undirected_edges(), fmt="%d",
+               delimiter="\t")
+    np.savetxt(root / "features.csv", bundle.x, fmt="%.17g", delimiter=",")
+    np.savetxt(root / "labels.csv", bundle.labels, fmt="%d")
     meta = {"n": bundle.n, "d": bundle.d, "num_classes": bundle.num_classes,
             "name": bundle.name}
     (root / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
@@ -202,5 +200,7 @@ def sbm_bundle(sizes, p_in: float, p_out: float, seed: int, d: int = 8,
     for b in range(len(sizes)):
         means[b, b % d] = signal
     x = means[labels] + noise * rng.normal(size=(graph.n, d))
+    if not np.isfinite(x).all():
+        raise ValueError("signal and noise must give finite features")
     return DatasetBundle(name=name, graph=graph, x=x, labels=labels,
                          num_classes=len(sizes))

@@ -277,11 +277,9 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig,
             name.write_text(run.trace.to_csv())
         for model in config.models:
             traces = [r.trace for r in report.runs if r.model == model]
-            rows = curve_report(traces)
-            text = "t,mean_gap,std\n" + "".join(
-                f"{t},{format(m, '.17g')},{format(s, '.17g')}\n"
-                for t, m, s in rows)
-            (root / f"gap_curve_{model}.csv").write_text(text)
+            np.savetxt(root / f"gap_curve_{model}.csv", curve_report(traces),
+                       fmt=["%d", "%.17g", "%.17g"], delimiter=",",
+                       header="t,mean_gap,std", comments="")
         (root / "report.json").write_text(canonical_json(report.aggregate()))
     return report
 

@@ -240,13 +240,17 @@ def hop_ball(p: PropagationMatrix, seeds: np.ndarray, hops: int,
 def build_graph(edges, n: int, on_self_loop: str = "reject") -> SparseGraph:
     """Build a symmetric, deduplicated, sorted CSR graph from edge pairs.
 
+    ``edges`` is an (m, 2) array or any iterable of (u, v) pairs.
+
     ``on_self_loop`` is either "reject" (raise) or "ignore" (drop silently).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if on_self_loop not in ("reject", "ignore"):
         raise ValueError("on_self_loop must be 'reject' or 'ignore'")
-    edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size:
         if edges.min() < 0 or edges.max() >= n:
             raise ValueError("edge index out of range")

@@ -5,7 +5,8 @@ its dimensions, a flat float64 parameter vector with a fixed column-major
 (per-column stacking) layout, and a forward pass over the node set of a
 ``PropOps`` (the whole graph, or the receptive ball of a few nodes from
 ``PropOps.restrict``) that caches every intermediate the analytic gradients
-need.
+need.  appnp and gprgnn return a ``FilterCache``, which forms the
+whole-graph filter product only when its logits are first read.
 
 Architectures (P is the normalized adjacency, sigma the smoothed ReLU):
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -262,35 +263,42 @@ class PropOps:
 
 
 class ForwardCache:
-    """All intermediates the backward pass reads, plus logits and probs.
+    """All intermediates the backward pass reads, plus logits and probs."""
 
-    ``lazy``, when given, returns the entries that are computed only on
-    first read (a dict of name -> array).  appnp and gprgnn use it for the
-    whole-graph filter product: their forward computes the node-wise MLP
-    (h, and the activation derivatives of both pre-activations), and
-    ``logits``, ``probs`` and gprgnn's power ``stack`` follow the first time
-    checkpoint evaluation, ``grad_mean``, ``loss_sample`` or the ``analyze``
-    scan reads one of them.  A training step reads none of them: it builds
-    the drawn node's logits from one filter row (``grad_sample``).
-    Entries set explicitly are never overwritten by the lazy ones.
+    def __init__(self, **kw):
+        self.__dict__.update(kw)
+
+
+class FilterCache(ForwardCache):
+    """Forward cache of appnp and gprgnn: the whole-graph filter product is
+    formed on first read.
+
+    ``forward`` stores the node-wise MLP (h, and the activation derivatives
+    of both pre-activations) together with ``spec``, ``ops`` and gprgnn's
+    ``gamma``.  ``logits``, ``probs`` and gprgnn's power ``stack`` follow the
+    first time checkpoint evaluation, ``grad_mean``, ``loss_sample`` or the
+    ``analyze`` scan reads one of them.  A training step reads none of them:
+    it builds the drawn node's logits from one filter row (``grad_sample``).
+    An entry assigned before its first read is kept.
     """
 
-    def __init__(self, lazy=None, **kw):
-        self.__dict__.update(kw)
-        self._lazy = lazy
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """gprgnn's [h, P h, ..., P^K h]."""
+        return gpr_powers(self.ops.p, self.h, self.spec.big_k)
 
-    def __getattr__(self, name):
-        # Reached only for names not set yet.
-        lazy = self.__dict__.get("_lazy")
-        if lazy is None:
-            raise AttributeError(name)
-        for key, value in lazy().items():
-            self.__dict__.setdefault(key, value)
-        self._lazy = None
-        try:
-            return self.__dict__[name]
-        except KeyError:
-            raise AttributeError(name) from None
+    @cached_property
+    def logits(self) -> np.ndarray:
+        if self.spec.arch == "appnp":
+            logits = self.ops.appnp_mat(self.h)
+        else:
+            logits = np.tensordot(self.gamma, self.stack, axes=(0, 0))
+        _check_finite(logits, f"{self.spec.arch} logits")
+        return logits
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return softmax_rows(self.logits)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -322,7 +330,7 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
 
     For appnp and gprgnn it stops at the node-wise MLP and leaves the
     whole-graph filter product to the first reader of the logits (see
-    ``ForwardCache``); a non-finite MLP output still raises here.
+    ``FilterCache``); a non-finite MLP output still raises here.
     """
     if x.shape != (ops.n, spec.d):
         raise ValueError(f"X has shape {x.shape}, expected {(ops.n, spec.d)}")
@@ -361,8 +369,8 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
         if gamma is not None:
             gamma = gamma.copy()  # w may be changed in place after return
             _check_finite(gamma, "gprgnn filter coefficients")
-        return ForwardCache(
-            lazy=partial(_filter_outputs, spec, ops, gamma, h),
+        return FilterCache(
+            spec=spec, ops=ops, gamma=gamma,
             pre1=pre1, s1=s1, sp1=act_deriv(act, pre1),
             pre2=pre2, h=h, sp2=act_deriv(act, pre2))
     else:  # gcnii
@@ -389,22 +397,6 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
     cache.logits = logits
     cache.probs = probs
     return cache
-
-
-def _filter_outputs(spec: ModelSpec, ops: PropOps, gamma: np.ndarray | None,
-                    h: np.ndarray) -> dict[str, np.ndarray]:
-    """Whole-graph logits and probs of appnp or gprgnn from the MLP output
-    h, plus gprgnn's stack [h, P h, ..., P^K h]."""
-    out = {}
-    if spec.arch == "appnp":
-        logits = ops.appnp_mat(h)
-    else:
-        out["stack"] = gpr_powers(ops.p, h, spec.big_k)
-        logits = np.tensordot(gamma, out["stack"], axes=(0, 0))
-    _check_finite(logits, f"{spec.arch} logits")
-    out["logits"] = logits
-    out["probs"] = softmax_rows(logits)
-    return out
 
 
 def node_loss(cache: ForwardCache, i: int, label: int) -> float:

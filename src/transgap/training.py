@@ -11,7 +11,8 @@ evaluation.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -34,12 +35,12 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in ("inverse_time", "constant"):
             raise ValueError("schedule kind must be inverse_time or constant")
-        if self.t0 < 0.0:
-            raise ValueError("t0 must be >= 0")
-        if self.kind == "inverse_time" and self.c <= 0.0:
+        if not 0.0 <= self.t0 < math.inf:
+            raise ValueError("t0 must be finite and >= 0")
+        if self.kind == "inverse_time" and not self.c > 0.0:
             raise ValueError("inverse-time schedule needs c > 0")
-        if self.c < 0.0:
-            raise ValueError("c must be >= 0")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError("c must be finite and >= 0")
 
     def eta(self, t: int) -> float:
         if self.kind == "constant":
@@ -70,8 +71,8 @@ class SgdConfig:
             raise ValueError("optimizer must be vanilla_sgd or adam")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,10 @@ class TrainTrace:
     g_emp: float = 0.0
 
     def to_csv(self) -> str:
+        rows = np.array([astuple(cp) for cp in self.checkpoints], dtype=float)
         buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for cp in self.checkpoints:
-            vals = [cp.r_m, cp.r_u, cp.acc_m, cp.acc_u, cp.grad_gap, cp.dist,
-                    cp.g_emp]
-            buf.write(str(cp.t) + "," +
-                      ",".join(format(v, ".17g") for v in vals) + "\n")
+        np.savetxt(buf, rows.reshape(-1, 8), fmt=["%d"] + ["%.17g"] * 7,
+                   delimiter=",", header=CSV_HEADER, comments="")
         return buf.getvalue()
 
     @staticmethod
@@ -177,8 +175,8 @@ def schedule_offset(p_const: float, alpha: float,
         raise ValueError("alpha must be in (0, 1]")
     base = (2.0 * p_const) ** (1.0 / alpha)
     if mu is not None:
-        if mu <= 0.0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < mu < math.inf:
+            raise ValueError("mu must be positive and finite")
         base *= 2.0 / mu
     return max(base, 1.0)
 

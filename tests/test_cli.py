@@ -182,6 +182,66 @@ class TestExitCodes:
         assert res.returncode == 2, res.stderr
         assert f"data error: {data / name}" in res.stderr
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--lr-c=nan", "inverse-time schedule needs c > 0"),
+        ("--lr-c=inf", "c must be finite and >= 0"),
+        ("--t0=nan", "t0 must be finite and >= 0"),
+        ("--weight-decay=nan", "weight_decay must be finite and >= 0"),
+    ])
+    def test_non_finite_train_schedule_is_usage_error(self, flag, message,
+                                                      bundle_dir, tmp_path):
+        out = tmp_path / "t.csv"
+        res = run_cli(["train", "--data", str(bundle_dir), flag, "--T", "2",
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert f"usage error: {message}" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_non_finite_mu_is_usage_error(self, mu, bundle_dir, tmp_path):
+        out = tmp_path / "a.json"
+        res = run_cli(["analyze", "--data", str(bundle_dir), "--mu", mu,
+                       "--T", "2", "--out", str(out)], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "usage error: --mu must be positive and finite" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_gradcheck_step_is_usage_error(self, step, tmp_path):
+        res = run_cli(["gradcheck", "--model", "sgc", "--step", step],
+                      tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "usage error: --step must be positive and finite" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("flag", ["--signal=nan", "--noise=inf",
+                                      "--noise=1e308"])
+    def test_non_finite_gen_feature_scale_is_usage_error(self, flag,
+                                                         tmp_path):
+        res = run_cli(["gen", "--blocks", "5,5", flag,
+                       "--out", str(tmp_path / "g")], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert ("usage error: signal and noise must give finite features"
+                in res.stderr)
+        assert not (tmp_path / "g").exists()
+
+    def test_non_finite_feature_file_is_data_error(self, bundle_dir,
+                                                   tmp_path):
+        import shutil
+
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, data)
+        rows = (data / "features.csv").read_text().splitlines()
+        rows[1] = ",".join(["nan"] + rows[1].split(",")[1:])
+        (data / "features.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "t.csv"
+        res = run_cli(["train", "--data", str(data), "--T", "2",
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert (f"data error: {data / 'features.csv'}: non-finite value "
+                "for node 1") in res.stderr
+        assert not out.exists()
+
     def test_gradcheck_pass_exit_zero(self, tmp_path):
         res = run_cli(["gradcheck", "--model", "sgc", "--instances", "3"],
                       tmp_path)

@@ -50,6 +50,17 @@ class TestBuildGraph:
         g = build_graph([(0, 1), (0, 1), (1, 0)], 2)
         assert g.edge_count == 1
 
+    @pytest.mark.parametrize("pairs", [
+        [], [(3, 1)], [(0, 4), (4, 0), (2, 1), (0, 1), (4, 3), (2, 1)]])
+    def test_array_list_and_generator_agree(self, pairs):
+        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        graphs = [build_graph(arr, 5), build_graph(pairs, 5),
+                  build_graph((pair for pair in pairs), 5)]
+        for g in graphs:
+            np.testing.assert_array_equal(g.row_ptr, graphs[1].row_ptr)
+            np.testing.assert_array_equal(g.col_idx, graphs[1].col_idx)
+            assert g.row_ptr.dtype == g.col_idx.dtype == np.int64
+
 
 class TestNormalizedAdjacency:
     def test_triangle_is_uniform(self):
