@@ -21,6 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gradients import grad_sample
+from .models import forward
+from .training import node_losses
+
 C0 = math.sqrt(32.0 * math.log(4.0 * math.e) / 3.0)
 DUDLEY_FACTOR = math.sqrt(math.log(3.0)) + 1.5 * math.sqrt(math.pi)
 
@@ -166,10 +170,6 @@ def initial_bounds(spec, ops, x: np.ndarray, labels: np.ndarray,
     With ``return_norms`` the per-node gradient norms of the same scan come
     third, for ``gradient_norm_diagnostics``.
     """
-    from .gradients import grad_sample
-    from .models import forward
-    from .training import node_losses
-
     cache = forward(spec, ops, x, w1)
     all_idx = np.arange(ops.n)
     b_loss = float(np.max(np.abs(node_losses(cache, all_idx, labels))))

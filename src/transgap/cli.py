@@ -24,9 +24,10 @@ from .bounds import (BoundInputs, gap_certificate, gradient_norm_diagnostics,
 from .constants import constants_report
 from .datasets import (BundleFormatError, load_bundle, row_normalize,
                        sbm_bundle, save_bundle)
-from .experiments import (MODEL_CHOICES, UsageError, build_model, build_run,
-                          canonical_json, default_schedule, experiment_config,
-                          flag_errors, run_experiment, theory_offset)
+from .experiments import (MODEL_CHOICES, REPORT_SCHEMA, UsageError,
+                          build_model, build_run, canonical_json,
+                          default_schedule, experiment_config, flag_errors,
+                          run_experiment, theory_offset)
 from .gradients import fd_gradient, grad_sample, max_relative_error
 from .graphs import normalized_adjacency, sbm_generate
 from .models import forward, init_params, layout_for
@@ -372,7 +373,7 @@ def cmd_analyze(args) -> int:
     models = MODEL_CHOICES[:5] if args.compare else (args.model,)
     reports = [_analyze_one(bundle, args, m) for m in models]
     reports.sort(key=lambda r: r["constants"]["L_F"])
-    text = canonical_json({"schema": "transgap/1", "compare": reports})
+    text = canonical_json({"schema": REPORT_SCHEMA, "compare": reports})
     if args.out:
         _write(args.out, text)
     else:

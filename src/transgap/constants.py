@@ -16,7 +16,7 @@ with P_i / Pt_i the column sums of the linear / Hoelder coefficient tables
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -383,8 +383,7 @@ def constants_report(spec: ModelSpec, p: PropagationMatrix, x: np.ndarray,
     db = degree_bound(stats) if stats is not None else float("nan")
     zero = None
     if spec.arch == "gcnii":
-        from dataclasses import replace as _replace
-        corner = _replace(spec, alpha1=0.0, alpha2=0.0, beta1=0.0, beta2=0.0)
+        corner = replace(spec, alpha1=0.0, alpha2=0.0, beta1=0.0, beta2=0.0)
         zero = loss_lipschitz(corner, c_x, c_w, norms).value
     return ConstantsReport(c_x=c_x, c_w=c_w, norms=norms, l_f=lip.value,
                            p_f=smooth.value,

@@ -139,6 +139,8 @@ class ExperimentConfig:
     big_k: int = 10
 
     def __post_init__(self):
+        if not self.models:
+            raise ValueError("model list must be nonempty")
         if not self.seeds:
             raise ValueError("seed list must be nonempty")
         if not 0.0 < self.train_frac < 1.0:
@@ -159,6 +161,9 @@ def experiment_config(flags) -> ExperimentConfig:
         seeds = tuple(int(s) for s in text.split(",") if s)
         if seeds and "," not in text:
             seeds = tuple(range(seeds[0]))
+        for kind, values in (("model", models), ("seed", seeds)):
+            if len(set(values)) != len(values):  # would report a run twice
+                raise ValueError(f"{kind} list repeats an entry")
         return ExperimentConfig(
             models=models, seeds=seeds, train_frac=flags.train_frac,
             big_t=flags.big_t, batch_size=flags.batch_size,

@@ -89,7 +89,8 @@ def _spread(ops, rows, m):
 def _backward(spec, ops, x, cache, layout, mats, g, rows, err):
     """The backward pass of each architecture from logit errors ``err``,
     one row for each node in ``rows`` (a ``_spread`` row set; appnp and
-    gprgnn take every node)."""
+    gprgnn take every node and run the errors through the transposed
+    filter, the ``gpr_powers`` stack weighted by ``cache.gamma``)."""
     act = spec.activation
     depth = spec.depth
     if spec.arch == "gcn":
@@ -104,14 +105,11 @@ def _backward(spec, ops, x, cache, layout, mats, g, rows, err):
         layout.view(g, "W2")[...] = cache.zw1[rows].T @ err
         layout.view(g, "W1")[...] = cache.z[rows].T @ (err @ mats["W2"].T)
     elif spec.arch in ("appnp", "gprgnn"):
-        if spec.arch == "appnp":
-            dh = ops.appnp_mat(err)
-        else:
+        if "gamma" in layout.names():
             gg = layout.view(g, "gamma")
-            for k in range(spec.big_k + 1):
-                gg[k] = float(np.sum(err * cache.stack[k]))
-            dstack = gpr_powers(ops.p, err, spec.big_k)
-            dh = np.tensordot(mats["gamma"], dstack, axes=(0, 0))
+            gg[...] = [np.sum(err * hop) for hop in cache.stack]
+        dstack = gpr_powers(ops.p, err, spec.big_k)
+        dh = np.tensordot(cache.gamma, dstack, axes=(0, 0))
         _mlp_backward(x, cache, layout, mats, g, dh * cache.sp2)
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()

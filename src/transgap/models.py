@@ -5,8 +5,8 @@ its dimensions, a flat float64 parameter vector with a fixed column-major
 (per-column stacking) layout, and a forward pass over the node set of a
 ``PropOps`` (the whole graph, or the receptive ball of a few nodes from
 ``PropOps.restrict``) that caches every intermediate the analytic gradients
-need.  appnp and gprgnn return a ``FilterCache``, which forms the
-whole-graph filter product only when its logits are first read.
+need.  appnp and gprgnn return a ``FilterCache``, which forms the whole-graph
+filter product (a weighted ``gpr_powers`` stack) on the first read of logits.
 
 Architectures (P is the normalized adjacency, sigma the smoothed ReLU):
 
@@ -24,9 +24,11 @@ omitted everywhere.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -221,11 +223,6 @@ class PropOps:
     def propagate(self, m: np.ndarray) -> np.ndarray:
         return self._csr @ m
 
-    def appnp_mat(self, m: np.ndarray) -> np.ndarray:
-        if self.filter is not None:
-            return self.filter.matmat(m)
-        return appnp_apply(self.p, self.spec.gamma, self.spec.big_k, m)
-
     def appnp_row(self, i: int) -> np.ndarray:
         """Dense row i of the teleport filter (filters are symmetric)."""
         if self.filter is not None:
@@ -263,10 +260,15 @@ class PropOps:
 
 
 class ForwardCache:
-    """All intermediates the backward pass reads, plus logits and probs."""
+    """All intermediates the backward pass reads, plus logits; the row
+    softmax ``probs`` is formed on first read."""
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return softmax_rows(self.logits)
 
 
 class FilterCache(ForwardCache):
@@ -274,31 +276,25 @@ class FilterCache(ForwardCache):
     formed on first read.
 
     ``forward`` stores the node-wise MLP (h, and the activation derivatives
-    of both pre-activations) together with ``spec``, ``ops`` and gprgnn's
-    ``gamma``.  ``logits``, ``probs`` and gprgnn's power ``stack`` follow the
-    first time checkpoint evaluation, ``grad_mean``, ``loss_sample`` or the
-    ``analyze`` scan reads one of them.  A training step reads none of them:
-    it builds the drawn node's logits from one filter row (``grad_sample``).
-    An entry assigned before its first read is kept.
+    of both pre-activations), ``spec``, ``ops`` and the filter coefficients
+    ``gamma`` (gprgnn's copied block, appnp's ``appnp_coefficients``).  The
+    power ``stack`` and the ``logits`` follow the first time checkpoint
+    evaluation, ``grad_mean``, ``loss_sample`` or the ``analyze`` scan reads
+    them.  A training step reads neither: it builds the drawn node's logits
+    from one filter row (``grad_sample``).  An entry assigned before its
+    first read is kept.
     """
 
     @cached_property
     def stack(self) -> np.ndarray:
-        """gprgnn's [h, P h, ..., P^K h]."""
+        """[h, P h, ..., P^K h]."""
         return gpr_powers(self.ops.p, self.h, self.spec.big_k)
 
     @cached_property
     def logits(self) -> np.ndarray:
-        if self.spec.arch == "appnp":
-            logits = self.ops.appnp_mat(self.h)
-        else:
-            logits = np.tensordot(self.gamma, self.stack, axes=(0, 0))
+        logits = np.tensordot(self.gamma, self.stack, axes=(0, 0))
         _check_finite(logits, f"{self.spec.arch} logits")
         return logits
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        return softmax_rows(self.logits)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -351,13 +347,11 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
             m = act_eval(act, pre)
         z_last = ops.propagate(m)
         logits = z_last @ mats[f"W{spec.depth}"]
-        _check_finite(logits, "gcn logits")
         cache = ForwardCache(zs=zs, pres=pres, z_last=z_last)
     elif spec.arch == "sgc":
         z = ops.propagate(ops.propagate(x))
         zw1 = z @ mats["W1"]
         logits = zw1 @ mats["W2"]
-        _check_finite(logits, "sgc logits")
         cache = ForwardCache(z=z, zw1=zw1)
     elif spec.arch in ("appnp", "gprgnn"):
         pre1 = x @ mats["W1"]
@@ -365,10 +359,11 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
         pre2 = s1 @ mats["W2"]
         h = act_eval(act, pre2)
         _check_finite(h, f"{spec.arch} MLP output")
-        gamma = mats.get("gamma")
-        if gamma is not None:
-            gamma = gamma.copy()  # w may be changed in place after return
-            _check_finite(gamma, "gprgnn filter coefficients")
+        if spec.arch == "appnp":
+            gamma = appnp_coefficients(spec.gamma, spec.big_k)
+        else:  # a copy: w may change in place after return
+            gamma = mats["gamma"].copy()
+        _check_finite(gamma, f"{spec.arch} filter coefficients")
         return FilterCache(
             spec=spec, ops=ops, gamma=gamma,
             pre1=pre1, s1=s1, sp1=act_deriv(act, pre1),
@@ -390,12 +385,10 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
             pres.append(pre)
             hs.append(h)
         logits = h @ mats[f"W{spec.depth + 1}"]
-        _check_finite(logits, "gcnii logits")
         cache = ForwardCache(hs=hs, pres=pres, aggs=aggs, psis=psis)
 
-    probs = softmax_rows(logits)
+    _check_finite(logits, f"{spec.arch} logits")
     cache.logits = logits
-    cache.probs = probs
     return cache
 
 
@@ -411,9 +404,6 @@ def loss_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
 
 def save_params(spec: ModelSpec, w: np.ndarray, path) -> None:
     """Write w as raw little-endian float64 plus a JSON layout sidecar."""
-    import json
-    from pathlib import Path
-
     layout = layout_for(spec)
     if w.shape != (layout.dim,):
         raise ValueError("parameter vector does not match the layout")
@@ -433,9 +423,6 @@ def save_params(spec: ModelSpec, w: np.ndarray, path) -> None:
 
 def load_params(spec: ModelSpec, path) -> np.ndarray:
     """Read a parameter vector written by save_params, validating the layout."""
-    import json
-    from pathlib import Path
-
     layout = layout_for(spec)
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())

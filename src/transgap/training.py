@@ -18,7 +18,8 @@ import numpy as np
 
 from .datasets import Split
 from .gradients import grad_mean, grad_sample
-from .models import ForwardCache, ModelSpec, PropOps, forward, layout_for
+from .models import (ForwardCache, ModelSpec, PropOps, forward, init_params,
+                     layout_for)
 from .rng import stream
 
 CSV_HEADER = "t,R_m,R_u,acc_m,acc_u,grad_gap,dist,g_emp"
@@ -217,8 +218,6 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     Deterministic given (inputs, config.seed).  Aborts with a diagnostic if a
     checkpoint loss turns non-finite.
     """
-    from .models import init_params
-
     if split.n != ops.n:
         raise ValueError("split does not match graph size")
     w = init_params(spec, config.seed) if w0 is None else w0.astype(np.float64).copy()

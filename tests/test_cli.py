@@ -125,6 +125,21 @@ class TestExitCodes:
         assert f"usage error: {message}" in res.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["--models", ""], "model list must be nonempty"),
+        (["--models", "gcn,gcn", "--seeds", "2"], "model list repeats"),
+        (["--models", "sgc", "--seeds", "1,1"], "seed list repeats"),
+    ])
+    def test_empty_or_repeated_experiment_list_is_usage_error(
+            self, args, message, bundle_dir, tmp_path):
+        out = tmp_path / "o"
+        res = run_cli(["experiment", "--data", str(bundle_dir), *args,
+                       "--T", "2", "--out", str(out)], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert f"usage error: {message}" in res.stderr
+        assert res.stdout == ""  # rejected before any run
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["analyze", "train"])
     @pytest.mark.parametrize("model", ["appnp", "gprgnn"])
     def test_filter_model_without_hops_is_usage_error(self, command, model,

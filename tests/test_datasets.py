@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import transgap.datasets as datasets
 from transgap.datasets import (BundleFormatError, DatasetBundle, load_bundle,
                                make_split, row_normalize, save_bundle,
                                sbm_bundle)
@@ -95,6 +96,107 @@ class TestBundleIO:
         loaded = load_bundle(tmp_path / "b", normalize_features=True)
         np.testing.assert_allclose(np.linalg.norm(loaded.x, axis=1), 1.0)
 
+
+
+def line_by_line_edges(path):
+    """Oracle: the edges.tsv reader of earlier versions, one line at a time
+    from the file object.  Returns the edge list, or the message suffix
+    after the path of the error it raised."""
+    edges = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            parts = text.split("\t")
+            if len(parts) != 2:
+                return f":{lineno}: expected two tab-separated ids"
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                return f":{lineno}: {exc}"
+            edges.append((u, v))
+    return edges
+
+
+EDGE_FILES = {
+    "saved": b"0\t1\n1\t2\n0\t11\n",
+    "empty": b"",
+    "comment only": b"# edges of nothing\n",
+    "blank lines": b"\n\n0\t1\n\n\n1\t2\n\n",
+    "comment lines": b"# head\n0\t1\n  # indented\n\t# tabbed\n1\t2\n",
+    "crlf": b"0\t1\r\n1\t2\r\n",
+    "lone cr": b"0\t1\r1\t2\r",
+    "leading spaces": b"  0\t1\n \t1\t2\n",
+    "trailing tab": b"0\t1\t\n1\t2\n",
+    "trailing spaces": b"0\t1   \n",
+    "spaces around the tab": b"0 \t 1\n",
+    "no final newline": b"0\t1\n1\t2",
+    "int literal forms": b"+0\t1_0\n0\t\xd9\xa1\n",
+    "trailing comment": b"0\t1\n1\t2 # note\n",
+    "three fields": b"0\t1\n1\t2\t3\n",
+    "two tabs": b"0\t\t1\n",
+    "one field": b"0\t1\n# ok\n\n7\n",
+    "space separated": b"0 1\n",
+    "non-integer field": b"0\t1\n1\tx\n",
+    "float field": b"0\t1.0\n",
+    "byte order mark": b"\xef\xbb\xbf0\t1\n",
+    "negative id": b"0\t1\n-1\t2\n",
+    "id past n": b"0\t12\n",
+    "self-loop": b"3\t3\n",
+    "duplicates": b"0\t1\n1\t0\n0\t1\n",
+}
+
+
+class TestEdgeLines:
+    """Every edges.tsv is accepted or rejected as the line-by-line reader
+    did it, with the same edges or the same message."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_FILES))
+    def test_same_lines_as_line_by_line_reader(self, name, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(EDGE_FILES[name])
+        want = line_by_line_edges(path)
+        if isinstance(want, list):
+            try:
+                want = build_graph(want, 12)
+            except ValueError as exc:
+                want = f": {exc}"
+        if isinstance(want, str):
+            with pytest.raises(BundleFormatError) as info:
+                datasets._read_edges(path, 12)
+            assert str(info.value) == f"{path}{want}"
+        else:
+            got = datasets._read_edges(path, 12)
+            np.testing.assert_array_equal(got.row_ptr, want.row_ptr)
+            np.testing.assert_array_equal(got.col_idx, want.col_idx)
+
+    def test_saved_file_takes_the_array_parse(self, tmp_path, monkeypatch):
+        bundle = sbm_bundle([30, 30], 0.2, 0.02, seed=4)
+        save_bundle(bundle, tmp_path / "b")
+
+        seen = []
+
+        def recorded(edges, n):
+            seen.append(type(edges))
+            return build_graph(edges, n)
+
+        monkeypatch.setattr(datasets, "build_graph", recorded)
+        loaded = load_bundle(tmp_path / "b")
+        assert seen == [np.ndarray]
+        np.testing.assert_array_equal(loaded.graph.row_ptr,
+                                      bundle.graph.row_ptr)
+        np.testing.assert_array_equal(loaded.graph.col_idx,
+                                      bundle.graph.col_idx)
+
+    @pytest.mark.parametrize("text", ["0\t" + "9" * 19 + "\n",
+                                      "0\t" + "9" * 40 + "\n"])
+    def test_id_past_int64_is_out_of_range(self, text, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text(text)
+        with pytest.raises(BundleFormatError,
+                           match="edge index out of range"):
+            datasets._read_edges(path, 12)
 
 class TestRowNormalize:
     def test_unit_rows(self):

@@ -115,6 +115,69 @@ class TestRowGradient:
                            grad_mean(spec, ops, x, w, one, labels)) <= 1e-12
 
 
+
+def filter_oracle_grad_mean(spec, ops, x, w, idx, labels):
+    """Mean gradient of appnp with every whole-graph filter product taken
+    by the stored filter matrix (the filter is symmetric)."""
+    cache = forward(spec, ops, x, w)
+    layout = layout_for(spec)
+    mats = layout.matrices(w)
+    probs = models.softmax_rows(ops.filter.matmat(cache.h))
+    delta = np.zeros_like(probs)
+    err = probs[idx].copy()
+    err[np.arange(idx.size), labels[idx]] -= 1.0
+    np.add.at(delta, idx, err / idx.size)
+    dpre2 = ops.filter.matmat(delta) * cache.sp2
+    g = np.zeros(layout.dim)
+    layout.view(g, "W2")[...] = cache.s1.T @ dpre2
+    layout.view(g, "W1")[...] = x.T @ ((dpre2 @ mats["W2"].T) * cache.sp1)
+    return g
+
+
+class TestAppnpIsFixedGprgnn:
+    """appnp's whole-graph product and backward are gprgnn's, with the
+    coefficient block fixed at ``appnp_coefficients``."""
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    @pytest.mark.parametrize("q", [2.0, 1.5])
+    def test_bitwise_equal_to_gprgnn_with_teleport_coefficients(
+            self, materialize, q, monkeypatch):
+        spec, ops, x, labels, w = instance("appnp", q=q, seed=2,
+                                           materialize=materialize,
+                                           monkeypatch=monkeypatch)
+        gspec = ModelSpec(arch="gprgnn", d=spec.d, h=spec.h,
+                          num_classes=spec.num_classes,
+                          activation=spec.activation, big_k=spec.big_k)
+        gops = PropOps(ops.p, gspec)
+        glayout = layout_for(gspec)
+        gw = np.concatenate(
+            [w, appnp_coefficients(spec.gamma, spec.big_k)])
+        assert glayout.dim == gw.size
+        np.testing.assert_array_equal(forward(spec, ops, x, w).logits,
+                                      forward(gspec, gops, x, gw).logits)
+        idx = np.array([0, 3, 3, 11, 12, 20, 26, 27])
+        got = grad_mean(spec, ops, x, w, idx, labels)
+        want = grad_mean(gspec, gops, x, gw, idx, labels)
+        layout = layout_for(spec)
+        for name in ("W1", "W2"):
+            np.testing.assert_array_equal(layout.view(got, name),
+                                          glayout.view(want, name))
+
+    @pytest.mark.parametrize("q", [2.0, 1.5])
+    def test_matches_stored_filter(self, q):
+        spec, ops, x, labels, w = instance("appnp", q=q, seed=6)
+        cache = forward(spec, ops, x, w)
+        want = ops.filter.matmat(cache.h)
+        assert rel_err(cache.logits, want) <= 1e-12
+        idx = np.array([1, 4, 4, 12, 19, 25, 27])
+        got = grad_mean(spec, ops, x, w, idx, labels)
+        oracle = filter_oracle_grad_mean(spec, ops, x, w, idx, labels)
+        assert rel_err(got, oracle) <= 1e-12
+        layout = layout_for(spec)
+        for name in ("W1", "W2"):
+            block = layout.slice_of(name)
+            assert rel_err(got[block], oracle[block]) <= 1e-12, name
+
 class TestLazyFilterProduct:
     @pytest.mark.parametrize("arch", FILTER_ARCHS)
     def test_step_reads_no_whole_graph_product(self, arch, monkeypatch):
@@ -129,8 +192,6 @@ class TestLazyFilterProduct:
 
         monkeypatch.setattr(models, "gpr_powers",
                             counted("gpr_powers", models.gpr_powers))
-        monkeypatch.setattr(PropOps, "appnp_mat",
-                            counted("appnp_mat", PropOps.appnp_mat))
         cache = forward(spec, ops, x, w)
         grad_sample(spec, ops, x, w, 4, int(labels[4]), cache=cache)
         assert calls == []
