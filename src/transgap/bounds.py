@@ -164,11 +164,10 @@ def gap_certificate(inputs: BoundInputs) -> BoundReport:
 
 
 def initial_bounds(spec, ops, x: np.ndarray, labels: np.ndarray,
-                   w1: np.ndarray, return_norms: bool = False) -> tuple:
-    """(b_loss, b_grad): exact maxima over all n nodes at the initial weights.
-
-    With ``return_norms`` the per-node gradient norms of the same scan come
-    third, for ``gradient_norm_diagnostics``.
+                   w1: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(b_loss, b_grad, norms): exact maxima over all n nodes at the initial
+    weights, and the per-node gradient norms of the same scan, for
+    ``gradient_norm_diagnostics``.
     """
     cache = forward(spec, ops, x, w1)
     all_idx = np.arange(ops.n)
@@ -178,7 +177,7 @@ def initial_bounds(spec, ops, x: np.ndarray, labels: np.ndarray,
         g = grad_sample(spec, ops, x, w1, i, int(labels[i]), cache=cache)
         norms[i] = np.linalg.norm(g)
     b_grad = float(norms.max())
-    return (b_loss, b_grad, norms) if return_norms else (b_loss, b_grad)
+    return b_loss, b_grad, norms
 
 
 def gradient_norm_diagnostics(norms: np.ndarray) -> dict:

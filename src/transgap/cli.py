@@ -323,7 +323,7 @@ def _analyze_one(bundle, args, model: str) -> dict:
     spec, ops, split, sgd = build_run(
         bundle, model, args, args.seed,
         default_schedule(args.optimizer, c=args.lr_c, t0=args.t0),
-        batch_size=1, eval_every=max(1, args.big_t // 10))
+        batch_size=1, eval_every=args.big_t)
     w1 = init_params(spec, args.seed)
     report = _constants(spec, ops, bundle, w1, c_w_override=args.cw)
     warnings: list[str] = []
@@ -337,7 +337,7 @@ def _analyze_one(bundle, args, model: str) -> dict:
         radius = trace.max_dist
 
     b_loss, b_grad, norms = initial_bounds(spec, ops, bundle.x, bundle.labels,
-                                           w1, return_norms=True)
+                                           w1)
     diag = gradient_norm_diagnostics(norms)
     alpha_rate = args.alpha_rate if args.alpha_rate is not None else spec.activation.alpha_tilde
     inputs = BoundInputs(m=split.m, u=split.u, dim=layout_for(spec).dim,

@@ -5,8 +5,9 @@ errors of a set of rows.  ``grad_mean`` runs it on every row, with the
 errors of an index multiset, to get the mean (or any weighted sum) of
 per-sample gradients.  ``grad_sample`` returns the exact gradient of one
 node's cross-entropy: for gcn, sgc and gcnii it runs ``_backward`` on that
-node's error row, whose first hop spreads along the node's row of P; appnp
-and gprgnn read one row of their filter, which feeds the same MLP backward.
+node's error row, back through the transposed links of the node's row sets
+(``PropOps.row_sets``), the forward's own when it ran on them; appnp and
+gprgnn read one row of their filter, which feeds the same MLP backward.
 ``fd_gradient`` is the independent central-difference oracle used by the
 test suite and the gradcheck command.
 """
@@ -17,25 +18,32 @@ import numpy as np
 
 from .activations import act_deriv
 from .graphs import gpr_powers
-from .models import (ForwardCache, ModelSpec, PropOps, forward, layout_for,
-                     loss_sample, softmax_rows)
+from .models import (ALL, ForwardCache, ModelSpec, PropOps, forward,
+                     layout_for, loss_sample, positions, softmax_rows)
 
 
 def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
                 i: int, label: int,
                 cache: ForwardCache | None = None) -> np.ndarray:
-    """Gradient of the cross-entropy at node i w.r.t. the flat parameters."""
+    """Gradient of the cross-entropy at node i w.r.t. the flat parameters,
+    from a forward over every node or over row sets that hold node i
+    (without ``cache``, over node i's row sets)."""
     if cache is None:
-        cache = forward(spec, ops, x, w)
+        cache = forward(spec, ops, x, w, np.array([i]))
     layout = layout_for(spec)
     mats = layout.matrices(w)
     g = np.zeros(layout.dim)
     if spec.arch in ("appnp", "gprgnn"):
         _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label)
         return g
-    err = cache.probs[i:i + 1].copy()
+    top = cache.sets[-1]
+    if top is not ALL and i not in top:
+        raise ValueError(f"node {i} has no logits in this forward")
+    # the forward's own row sets when it ran for node i alone
+    rows = top if top is not ALL and top.size == 1 else np.array([i])
+    err = cache.probs[positions(top, rows)].copy()
     err[0, label] -= 1.0
-    _backward(spec, ops, x, cache, layout, mats, g, slice(i, i + 1), err)
+    _backward(spec, ops, x, cache, layout, mats, g, rows, err)
     return g
 
 
@@ -72,38 +80,40 @@ def _mlp_backward(x, cache, layout, mats, g, dpre2):
     layout.view(g, "W1")[...] = x.T @ dpre1
 
 
-def _spread(ops, rows, m):
-    """P @ M for an M that lives on ``rows``, as (rows, values): one node
-    spreads along its own row of P (P is symmetric), any other row set
-    (every node, or an index array) takes one whole-graph product."""
-    if not isinstance(rows, slice):
-        full = np.zeros((ops.n, m.shape[1]))
-        full[rows] = m
-        m = full
-    elif rows != slice(None):
-        nbr, a = ops.p.row(rows.start)
-        return nbr, a[:, None] * m
-    return slice(None), ops.propagate(m)
+def _spread(ops, cache, layer, rows, m):
+    """P^T @ M for an M on the row set ``rows`` of ``layer``, as (the row
+    set one layer down, values): through the forward's own link when
+    ``rows`` is the set it ran on, else through ``PropOps.row_link``."""
+    if rows is cache.sets[layer]:
+        below, link = cache.sets[layer - 1], cache.links[layer - 1]
+    else:
+        below, link = ops.row_link(rows)
+    return below, ops.propagate_link(link, m, transpose=True)
 
 
 def _backward(spec, ops, x, cache, layout, mats, g, rows, err):
     """The backward pass of each architecture from logit errors ``err``,
-    one row for each node in ``rows`` (a ``_spread`` row set; appnp and
-    gprgnn take every node and run the errors through the transposed
-    filter, the ``gpr_powers`` stack weighted by ``cache.gamma``)."""
+    one row for each node of the row set ``rows`` (``ALL``, or sorted nodes
+    with logits in ``cache``), which moves down a layer with each
+    ``_spread``.  appnp and gprgnn take every node and run the errors
+    through the transposed filter, the ``gpr_powers`` stack weighted by
+    ``cache.gamma``."""
     act = spec.activation
     depth = spec.depth
     if spec.arch == "gcn":
-        layout.view(g, f"W{depth}")[...] = cache.z_last[rows].T @ err
-        rows, dh = _spread(ops, rows, err @ mats[f"W{depth}"].T)
+        at = positions(cache.sets[depth], rows)
+        layout.view(g, f"W{depth}")[...] = cache.z_last[at].T @ err
+        rows, dh = _spread(ops, cache, depth, rows, err @ mats[f"W{depth}"].T)
         for l in range(depth - 1, 0, -1):
-            dpre = dh * act_deriv(act, cache.pres[l - 1][rows])
-            layout.view(g, f"W{l}")[...] = cache.zs[l - 1][rows].T @ dpre
+            at = positions(cache.sets[l], rows)
+            dpre = dh * act_deriv(act, cache.pres[l - 1][at])
+            layout.view(g, f"W{l}")[...] = cache.zs[l - 1][at].T @ dpre
             if l > 1:
-                rows, dh = _spread(ops, rows, dpre @ mats[f"W{l}"].T)
+                rows, dh = _spread(ops, cache, l, rows, dpre @ mats[f"W{l}"].T)
     elif spec.arch == "sgc":
-        layout.view(g, "W2")[...] = cache.zw1[rows].T @ err
-        layout.view(g, "W1")[...] = cache.z[rows].T @ (err @ mats["W2"].T)
+        at = positions(cache.sets[2], rows)
+        layout.view(g, "W2")[...] = cache.zw1[at].T @ err
+        layout.view(g, "W1")[...] = cache.z[at].T @ (err @ mats["W2"].T)
     elif spec.arch in ("appnp", "gprgnn"):
         if "gamma" in layout.names():
             gg = layout.view(g, "gamma")
@@ -113,20 +123,27 @@ def _backward(spec, ops, x, cache, layout, mats, g, rows, err):
         _mlp_backward(x, cache, layout, mats, g, dh * cache.sp2)
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-        layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth][rows].T @ err
+        at = positions(cache.sets[depth], rows)
+        layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth][at].T @ err
         dh = err @ mats[f"W{depth + 1}"].T
-        # All rows: without self-loops the hops' supports need not nest.
-        dh0 = np.zeros((ops.n, spec.h))
+        dh0 = 0.0  # the error at H0, on the current row set
         for l in range(depth, 0, -1):
-            dpre = dh * act_deriv(act, cache.pres[l][rows])
+            at = positions(cache.sets[l], rows)
+            dpre = dh * act_deriv(act, cache.pres[l][at])
             layout.view(g, f"W{l}")[...] = betas[l - 1] * (
-                cache.aggs[l - 1][rows].T @ dpre)
+                cache.aggs[l - 1][at].T @ dpre)
             dm = dpre @ cache.psis[l - 1].T
-            dh0[rows] += alphas[l - 1] * dm
-            rows, dh = _spread(ops, rows, dm)
+            dh0 = dh0 + alphas[l - 1] * dm
+            below, dh = _spread(ops, cache, l, rows, dm)
+            if below is not rows:
+                lifted = np.zeros(dh.shape)
+                lifted[positions(below, rows)] = dh0
+                dh0, rows = lifted, below
             dh = (1.0 - alphas[l - 1]) * dh
-        dh0[rows] += dh
-        layout.view(g, "W0")[...] = x.T @ (dh0 * act_deriv(act, cache.pres[0]))
+        dh0 += dh
+        at = positions(cache.sets[0], rows)
+        layout.view(g, "W0")[...] = x[rows].T @ (
+            dh0 * act_deriv(act, cache.pres[0][at]))
 
 
 def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
@@ -137,6 +154,7 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
 
     ``weights`` (one per entry of ``idx``, of any sign) replaces the uniform
     1 / len(idx), giving the weighted sum of the per-sample gradients.
+    ``cache`` is a forward over every node.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size == 0:
@@ -153,7 +171,7 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     np.add.at(delta, idx,
               err / idx.size if weights is None else err * weights[:, None])
 
-    _backward(spec, ops, x, cache, layout, mats, g, slice(None), delta)
+    _backward(spec, ops, x, cache, layout, mats, g, ALL, delta)
     return g
 
 

@@ -127,16 +127,6 @@ def _ltr_row_sums(row_ptr: np.ndarray, values: np.ndarray, n: int) -> np.ndarray
     return np.bincount(rows, weights=values, minlength=n)
 
 
-def _entry_positions(row_ptr: np.ndarray,
-                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Storage positions of the entries of ``rows``, row after row, and the
-    entry count of each row."""
-    starts = row_ptr[rows]
-    counts = row_ptr[rows + 1] - starts
-    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return shift + np.arange(shift.size), counts
-
-
 @dataclass(frozen=True)
 class PropagationMatrix:
     """Sparse nonnegative operator with a cached infinity norm.
@@ -185,56 +175,8 @@ class PropagationMatrix:
     def row_sums(self) -> np.ndarray:
         return _ltr_row_sums(self.row_ptr, self.values, self.n)
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbor indices, values) of row i."""
-        s, e = self.row_ptr[i], self.row_ptr[i + 1]
-        return self.col_idx[s:e], self.values[s:e]
-
-    def induced(self, nodes: np.ndarray) -> "PropagationMatrix":
-        """Rows and columns ``nodes`` (sorted, distinct) of this operator.
-
-        Values are kept as they are, not renormalized, and each row keeps
-        its entries in their original order.
-        """
-        k = nodes.size
-        pos, counts = _entry_positions(self.row_ptr, nodes)
-        local = np.full(self.n, -1, dtype=np.int64)
-        local[nodes] = np.arange(k)
-        cols = local[self.col_idx[pos]]
-        keep = cols >= 0
-        row_ptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.bincount(np.repeat(np.arange(k), counts)[keep],
-                              minlength=k), out=row_ptr[1:])
-        values = self.values[pos[keep]]
-        return PropagationMatrix(
-            n=k, row_ptr=row_ptr, col_idx=cols[keep], values=values,
-            inf_norm=float(_ltr_row_sums(row_ptr, values, k).max()))
-
     def matmat(self, x: np.ndarray) -> np.ndarray:
         return self.to_scipy() @ x
-
-
-def hop_ball(p: PropagationMatrix, seeds: np.ndarray, hops: int,
-             limit: float) -> np.ndarray | None:
-    """Sorted nodes within ``hops`` steps of ``seeds`` in the pattern of P.
-
-    Returns None as soon as the ball holds more than ``limit`` nodes.  The
-    search stops early once no new node is reached.
-    """
-    inside = np.zeros(p.n, dtype=bool)
-    inside[seeds] = True
-    frontier = np.flatnonzero(inside)
-    size = frontier.size
-    for _ in range(hops):
-        if size > limit or frontier.size == 0:
-            break
-        reached = np.zeros(p.n, dtype=bool)
-        reached[p.col_idx[_entry_positions(p.row_ptr, frontier)[0]]] = True
-        reached &= ~inside
-        inside |= reached
-        frontier = np.flatnonzero(reached)
-        size += frontier.size
-    return None if size > limit else np.flatnonzero(inside)
 
 
 def build_graph(edges, n: int, on_self_loop: str = "reject") -> SparseGraph:

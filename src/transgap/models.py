@@ -2,11 +2,14 @@
 
 Five architectures share one interface: a spec naming the architecture and
 its dimensions, a flat float64 parameter vector with a fixed column-major
-(per-column stacking) layout, and a forward pass over the node set of a
-``PropOps`` (the whole graph, or the receptive ball of a few nodes from
-``PropOps.restrict``) that caches every intermediate the analytic gradients
-need.  appnp and gprgnn return a ``FilterCache``, which forms the whole-graph
-filter product (a weighted ``gpr_powers`` stack) on the first read of logits.
+(per-column stacking) layout, and a forward pass that caches every
+intermediate the analytic gradients need.  gcn, sgc and gcnii run layer l
+on a row set S_l (``PropOps.row_sets``): S_L holds the nodes whose logits
+are asked for, S_{l-1} the rows that P[S_l, :] reads, and a set that holds
+more than half the nodes is every node.  appnp and gprgnn compute their
+node-wise MLP on every node and return a ``FilterCache``, which forms the
+whole-graph filter product (a weighted ``gpr_powers`` stack) on the first
+read of logits.
 
 Architectures (P is the normalized adjacency, sigma the smoothed ReLU):
 
@@ -31,20 +34,17 @@ from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .activations import ActivationSpec, act_deriv, act_eval
 from .graphs import (FILTER_MATERIALIZE_LIMIT, PropagationMatrix, appnp_apply,
-                     appnp_coefficients, appnp_filter, gpr_powers, hop_ball)
+                     appnp_coefficients, appnp_filter, gpr_powers)
 from .rng import stream
 
 ARCHITECTURES = ("gcn", "gcnii", "sgc", "appnp", "gprgnn")
 
-# Graphs below this size run every training step on the whole graph: finding
-# and slicing a receptive ball costs a few hundred microseconds, as much as a
-# whole-graph gcn or sgc step on a graph of a few hundred nodes.  The 200-node
-# paper-small benchmark workload sits below it, the 6000-node scale-6k
-# workload above it.
-BALL_MIN_NODES = 1000
+# The row set of a layer that runs on every node.
+ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class ModelSpec:
         """Hops of P between a node's logits and the inputs they read.
 
         None for appnp and gprgnn: their K-step filters reach most of any
-        connected graph, so they always run on the whole graph.
+        connected graph, so their forward runs on every node.
         """
         if self.arch in ("gcn", "gcnii"):
             return self.depth
@@ -231,24 +231,56 @@ class PropOps:
         e[i] = 1.0
         return appnp_apply(self.p, self.spec.gamma, self.spec.big_k, e)
 
-    def restrict(self, idx: np.ndarray) -> tuple["PropOps", np.ndarray] | None:
-        """Sub-problem on the receptive ball of the nodes ``idx``.
-
-        Returns the helpers for the rows and columns of P inside the ball
-        (values kept, not renormalized) and the sorted ball nodes, or None
-        when the whole graph is the cheaper choice: the architecture has no
-        small ball, the graph has fewer than ``BALL_MIN_NODES`` nodes, or
-        the ball holds more than half of them.  Logits of ``idx`` on the
-        sub-problem, and every gradient read from them, equal their
-        whole-graph values.
+    def row_link(self, rows) -> tuple:
+        """(S', link) for a row set S: S' is S with the column support of
+        P[S, :] (sorted), and the link is P[S, S'] as CSR arrays (P's
+        values, columns in S', row pointers) and its shape, read from
+        ``row_ptr``/``col_idx``.  S' is ``ALL`` once it holds more than half
+        the nodes; S = ``ALL`` gives (``ALL``, None), the whole graph.
         """
-        hops = self.spec.receptive_hops()
-        if hops is None or self.n < BALL_MIN_NODES:
-            return None
-        ball = hop_ball(self.p, idx, hops, limit=self.n / 2)
-        if ball is None:
-            return None
-        return PropOps(self.p.induced(ball), self.spec), ball
+        if isinstance(rows, slice):
+            return ALL, None
+        p = self.p
+        starts = p.row_ptr[rows]
+        counts = p.row_ptr[rows + 1] - starts
+        ptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        pos = np.repeat(starts - ptr[:-1], counts) + np.arange(ptr[-1])
+        cols = p.col_idx[pos]
+        below = np.unique(np.concatenate([rows, cols]))
+        if below.size > self.n / 2:
+            below, local, width = ALL, cols, self.n
+        else:
+            local, width = np.searchsorted(below, cols), below.size
+        return below, ((p.values[pos], local, ptr), (rows.size, width))
+
+    def row_sets(self, rows, hops: int) -> tuple[list, list]:
+        """Row sets [S_0, ..., S_hops] and links [P[S_1, S_0], ...] for the
+        logits of the nodes ``rows``: S_hops holds the distinct nodes
+        (``ALL`` for None or more than half the nodes), the rest follow
+        from ``row_link``.
+        """
+        top = ALL if rows is None else np.unique(rows)
+        if top is not ALL and top.size > self.n / 2:
+            top = ALL
+        sets, links = [top], []
+        for _ in range(hops):
+            below, link = self.row_link(sets[0])
+            sets.insert(0, below)
+            links.insert(0, link)
+        return sets, links
+
+    def propagate_link(self, link, m: np.ndarray,
+                       transpose: bool = False) -> np.ndarray:
+        """P[S, S'] @ m through a ``row_link`` link, read as a CSR block or,
+        with ``transpose``, as the CSC block of its transpose; the
+        whole-graph ``propagate`` for link None (P is symmetric)."""
+        if link is None:
+            return self.propagate(m)
+        arrays, (k, width) = link
+        if transpose:
+            return sp.csc_array(arrays, shape=(width, k)) @ m
+        return sp.csr_array(arrays, shape=(k, width)) @ m
 
     def power_row(self, i: int, big_k: int) -> np.ndarray:
         """Stack of rows [P^k]_{i*} for k = 0..K (P symmetric)."""
@@ -259,9 +291,17 @@ class PropOps:
         return rows
 
 
+def positions(held, rows):
+    """Where the nodes ``rows`` sit in an array held on the row set
+    ``held``; ``rows`` lies inside ``held``."""
+    return rows if held is ALL else np.searchsorted(held, rows)
+
+
 class ForwardCache:
     """All intermediates the backward pass reads, plus logits; the row
-    softmax ``probs`` is formed on first read."""
+    softmax ``probs`` is formed on first read.  gcn, sgc and gcnii keep
+    the ``sets`` and ``links`` of ``PropOps.row_sets``: layer l's arrays
+    hold the rows of ``sets[l]``."""
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
@@ -319,12 +359,13 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise FloatingPointError(f"non-finite values in {where}")
 
 
-def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
-            w: np.ndarray) -> ForwardCache:
-    """Forward pass over every node of ``ops``; caches every gradient
-    intermediate.
+def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
+            rows: np.ndarray | None = None) -> ForwardCache:
+    """Forward pass that caches every gradient intermediate.
 
-    For appnp and gprgnn it stops at the node-wise MLP and leaves the
+    gcn, sgc and gcnii run each layer on the row set that the logits of
+    the nodes ``rows`` read (every node for None; see ``PropOps.row_sets``).
+    appnp and gprgnn compute the node-wise MLP on every node and leave the
     whole-graph filter product to the first reader of the logits (see
     ``FilterCache``); a non-finite MLP output still raises here.
     """
@@ -336,24 +377,7 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
     mats = layout.matrices(w)
     act = spec.activation
 
-    if spec.arch == "gcn":
-        zs, pres = [], []
-        m = x
-        for l in range(1, spec.depth):
-            z = ops.propagate(m)
-            pre = z @ mats[f"W{l}"]
-            zs.append(z)
-            pres.append(pre)
-            m = act_eval(act, pre)
-        z_last = ops.propagate(m)
-        logits = z_last @ mats[f"W{spec.depth}"]
-        cache = ForwardCache(zs=zs, pres=pres, z_last=z_last)
-    elif spec.arch == "sgc":
-        z = ops.propagate(ops.propagate(x))
-        zw1 = z @ mats["W1"]
-        logits = zw1 @ mats["W2"]
-        cache = ForwardCache(z=z, zw1=zw1)
-    elif spec.arch in ("appnp", "gprgnn"):
+    if spec.arch in ("appnp", "gprgnn"):
         pre1 = x @ mats["W1"]
         s1 = act_eval(act, pre1)
         pre2 = s1 @ mats["W2"]
@@ -368,15 +392,36 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
             spec=spec, ops=ops, gamma=gamma,
             pre1=pre1, s1=s1, sp1=act_deriv(act, pre1),
             pre2=pre2, h=h, sp2=act_deriv(act, pre2))
+
+    sets, links = ops.row_sets(rows, spec.receptive_hops())
+    if spec.arch == "gcn":
+        zs, pres = [], []
+        m = x[sets[0]]
+        for l in range(1, spec.depth):
+            z = ops.propagate_link(links[l - 1], m)
+            pre = z @ mats[f"W{l}"]
+            zs.append(z)
+            pres.append(pre)
+            m = act_eval(act, pre)
+        z_last = ops.propagate_link(links[-1], m)
+        logits = z_last @ mats[f"W{spec.depth}"]
+        cache = ForwardCache(zs=zs, pres=pres, z_last=z_last)
+    elif spec.arch == "sgc":
+        z = ops.propagate_link(links[1],
+                               ops.propagate_link(links[0], x[sets[0]]))
+        zw1 = z @ mats["W1"]
+        logits = zw1 @ mats["W2"]
+        cache = ForwardCache(z=z, zw1=zw1)
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-        pre0 = x @ mats["W0"]
+        pre0 = x[sets[0]] @ mats["W0"]
         h0 = act_eval(act, pre0)
         hs, pres, aggs, psis = [h0], [pre0], [], []
         h = h0
         for l in range(1, spec.depth + 1):
             a_l, b_l = alphas[l - 1], betas[l - 1]
-            agg = (1.0 - a_l) * ops.propagate(h) + a_l * h0
+            agg = ((1.0 - a_l) * ops.propagate_link(links[l - 1], h)
+                   + a_l * h0[positions(sets[0], sets[l])])
             psi = (1.0 - b_l) * np.eye(spec.h) + b_l * mats[f"W{l}"]
             pre = agg @ psi
             h = act_eval(act, pre)
@@ -389,6 +434,7 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray,
 
     _check_finite(logits, f"{spec.arch} logits")
     cache.logits = logits
+    cache.sets, cache.links = sets, links
     return cache
 
 

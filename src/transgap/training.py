@@ -204,14 +204,13 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
             w0: np.ndarray | None = None) -> tuple[np.ndarray, TrainTrace]:
     """Train from w0 (or a fresh seeded init) and trace the trajectory.
 
-    A step reads only the logits of its drawn nodes.  Steps of gcn, sgc and
-    gcnii are ball-local: they run forward and backward on the receptive
-    ball of the drawn nodes when ``PropOps.restrict`` finds the ball
-    cheaper, and on the whole graph otherwise.  Steps of appnp and gprgnn
-    are row-local: their forward computes only the node-wise MLP, and each
-    drawn node's logits and gradient come from its own filter row, so the
-    whole-graph filter product is never formed for a step.  A whole-graph
-    step right after a checkpoint reuses the checkpoint's forward.
+    A step reads only the logits of its drawn nodes.  gcn, sgc and gcnii
+    run its forward and backward on the row sets of the drawn nodes (see
+    ``PropOps.row_sets``): each layer on the rows the logits read, or on
+    every node once that is more than half of them.  Steps of appnp and
+    gprgnn are row-local: their forward computes only the node-wise MLP,
+    and each drawn node's logits and gradient come from its own filter
+    row, so the whole-graph filter product is never formed for a step.
     Checkpoints always evaluate the whole graph, which is where appnp and
     gprgnn propagate (lazily, on the first read of their logits).
 
@@ -233,22 +232,14 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     g_emp = 0.0
     max_dist = 0.0
 
-    full = None  # the checkpoint's whole-graph forward while w is unchanged
     for t in range(1, config.big_t + 1):
         eta = config.schedule.eta(t)
         picks = train[draw.integers(0, split.m, size=config.batch_size)]
-        local = ops.restrict(picks)
-        if local is None:
-            step_ops, step_x, rows = ops, x, picks
-            cache = full if full is not None else forward(spec, ops, x, w)
-        else:
-            step_ops, ball = local
-            step_x, rows = x[ball], np.searchsorted(ball, picks)
-            cache = forward(spec, step_ops, step_x, w)
+        cache = forward(spec, ops, x, w, picks)
         gsum = np.zeros(layout.dim)
         sqrt_eta = np.sqrt(eta)
-        for j, r in zip(picks, rows):
-            g_j = grad_sample(spec, step_ops, step_x, w, int(r), int(labels[j]),
+        for j in picks:
+            g_j = grad_sample(spec, ops, x, w, int(j), int(labels[j]),
                               cache=cache)
             gsum += g_j
             g_emp = max(g_emp, sqrt_eta * float(np.linalg.norm(g_j)))
@@ -259,18 +250,17 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
             w = w - eta * g
         else:
             w = adam.step(w, g, eta)
-        full = None
         dist = float(np.linalg.norm(w - w_start))
         max_dist = max(max_dist, dist)
 
         if t % config.eval_every == 0 or t == config.big_t:
-            full = forward(spec, ops, x, w)
+            cache = forward(spec, ops, x, w)
             r_m, r_u, acc_m, acc_u = evaluate(spec, ops, x, labels, split, w,
-                                              cache=full)
+                                              cache=cache)
             if not (np.isfinite(r_m) and np.isfinite(r_u)):
                 raise FloatingPointError(
                     f"non-finite loss at step {t}: R_m={r_m}, R_u={r_u}")
-            gap = gradient_gap(spec, ops, x, labels, split, w, cache=full)
+            gap = gradient_gap(spec, ops, x, labels, split, w, cache=cache)
             trace.checkpoints.append(Checkpoint(
                 t=t, r_m=r_m, r_u=r_u, acc_m=acc_m, acc_u=acc_u,
                 grad_gap=gap, dist=dist, g_emp=g_emp))

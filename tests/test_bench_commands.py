@@ -47,7 +47,7 @@ EXPECTED = {
     "paper-small": (("gcn", "sgc", "gcn6", "gcnii", "gcnii6"), range(10),
                     300, 30, LrSchedule(kind="inverse_time", c=3.0, t0=100.0)),
     "analyze-small": (("gcn", "gcnii", "sgc", "appnp", "gprgnn"), (0,),
-                      300, 30, LrSchedule(kind="inverse_time", c=1.0, t0=10.0)),
+                      300, 300, LrSchedule(kind="inverse_time", c=1.0, t0=10.0)),
     "scale-6k": (("gcn", "sgc", "gcnii", "gprgnn", "appnp"), (0,),
                  200, 10, LrSchedule(kind="inverse_time", c=1.0, t0=10.0)),
 }

@@ -160,7 +160,8 @@ class TestInitialBounds:
                          activation=ActivationSpec(q=2.0))
         ops = PropOps(normalized_adjacency(bundle.graph), spec)
         w1 = init_params(spec, 0)
-        b_loss, b_grad = initial_bounds(spec, ops, bundle.x, bundle.labels, w1)
+        b_loss, b_grad, _ = initial_bounds(spec, ops, bundle.x, bundle.labels,
+                                           w1)
         cache = forward(spec, ops, bundle.x, w1)
         losses = node_losses(cache, np.arange(10), bundle.labels)
         assert b_loss == pytest.approx(float(np.abs(losses).max()))
@@ -183,14 +184,13 @@ class TestInitialBounds:
         ops = PropOps(normalized_adjacency(bundle.graph), spec)
         w1 = init_params(spec, 2)
         b_loss, b_grad, scan = initial_bounds(spec, ops, bundle.x,
-                                              bundle.labels, w1,
-                                              return_norms=True)
+                                              bundle.labels, w1)
         norms = np.array([np.linalg.norm(grad_sample(
             spec, ops, bundle.x, w1, i, int(bundle.labels[i])))
             for i in range(11)])
         np.testing.assert_allclose(scan, norms, rtol=1e-13)
         assert (b_loss, b_grad) == initial_bounds(spec, ops, bundle.x,
-                                                  bundle.labels, w1)
+                                                  bundle.labels, w1)[:2]
         assert b_grad == float(scan.max())
         diag = gradient_norm_diagnostics(scan)
         assert diag["grad_norm_mean"] == pytest.approx(float(np.mean(norms)),

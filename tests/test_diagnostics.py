@@ -31,7 +31,7 @@ def test_soft_certificate_covers_measured_gap_desk_scale():
     last = trace.checkpoints[-1]
     measured_gap = abs(last.r_m - last.r_u)
     rep = constants_report(spec, p, bundle.x, w1)
-    b_loss, b_grad = initial_bounds(spec, ops, bundle.x, bundle.labels, w1)
+    b_loss, b_grad, _ = initial_bounds(spec, ops, bundle.x, bundle.labels, w1)
     cert = gap_certificate(BoundInputs(
         m=split.m, u=split.u, dim=w1.size, big_t=50, delta=0.1, alpha=1.0,
         l_f=rep.l_f, radius=trace.max_dist, b_loss=b_loss, b_grad=b_grad))

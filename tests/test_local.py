@@ -1,29 +1,32 @@
-"""Steps on the receptive ball of the drawn nodes (``PropOps.restrict``)."""
+"""Steps on the row sets of the drawn nodes (``PropOps.row_sets``).
+
+The row sets of a node are the layers of its receptive ball: S_l holds the
+nodes within L - l hops, so S_0 is the L-hop ball.
+"""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from transgap.activations import ActivationSpec
 from transgap.datasets import Split
 from transgap.gradients import grad_mean, grad_sample
-from transgap.graphs import (PropagationMatrix, build_graph, hop_ball,
-                             normalized_adjacency)
-from transgap.models import (BALL_MIN_NODES, ModelSpec, PropOps, forward,
-                             init_params)
+from transgap.graphs import build_graph, normalized_adjacency
+from transgap.models import ALL, ModelSpec, PropOps, forward, init_params
 from transgap.rng import stream
 from transgap.training import LrSchedule, SgdConfig, evaluate, run_sgd
 
 LOCAL_ARCHS = [("gcn", 2), ("gcn", 6), ("sgc", 2), ("gcnii", 2), ("gcnii", 6)]
-RING = BALL_MIN_NODES
+RING = 40
 TRIANGLE = (RING, RING + 1, RING + 2)
 ISOLATED = RING + 3
 
 
 def ring_graph(ring=RING):
     """A ring (0..ring-1), a separate triangle (ring..ring+2) and an isolated
-    node (ring+3): the 6-hop ball of a ring node (13 nodes) is well under
-    half the graph, a triangle ball stops growing after one hop, and the
-    isolated node's ball is the node itself."""
+    node (ring+3): the 6-hop sets of a ring node (up to 13 nodes) stay well
+    under half the graph, a triangle node's sets stop growing after one
+    hop, and the isolated node's sets are the node itself."""
     a, b, c = ring, ring + 1, ring + 2
     edges = [(i, (i + 1) % ring) for i in range(ring)]
     edges += [(a, b), (b, c), (a, c)]
@@ -50,105 +53,171 @@ def rel_err(a, b):
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
+def dense(link):
+    arrays, shape = link
+    return sp.csr_array(arrays, shape=shape).toarray()
+
+
+def ring_ops():
+    return PropOps(normalized_adjacency(ring_graph()), make_spec("gcn", 2))
+
+
 class TestBall:
     def test_ring_ball_sizes(self):
-        p = normalized_adjacency(ring_graph())
-        for hops in range(7):
-            ball = hop_ball(p, np.array([0]), hops, limit=p.n)
+        sets, _ = ring_ops().row_sets(np.array([0]), 6)
+        for l, rows in enumerate(sets):
+            hops = 6 - l
             expect = sorted({(k % RING) for k in range(-hops, hops + 1)})
-            assert ball.tolist() == expect
+            assert rows.tolist() == expect
 
     def test_ball_stops_growing_before_the_last_hop(self):
-        p = normalized_adjacency(ring_graph())
-        assert hop_ball(p, np.array([RING + 1]), 6,
-                        limit=p.n).tolist() == list(TRIANGLE)
+        sets, _ = ring_ops().row_sets(np.array([RING + 1]), 6)
+        assert [rows.tolist() for rows in sets[:-1]] == [list(TRIANGLE)] * 6
+        assert sets[-1].tolist() == [RING + 1]
 
     def test_isolated_node(self):
-        p = normalized_adjacency(ring_graph())
-        assert hop_ball(p, np.array([ISOLATED]), 6,
-                        limit=p.n).tolist() == [ISOLATED]
+        sets, links = ring_ops().row_sets(np.array([ISOLATED]), 6)
+        assert [rows.tolist() for rows in sets] == [[ISOLATED]] * 7
+        assert all(dense(link).tolist() == [[1.0]] for link in links)
 
     def test_union_of_seeds(self):
-        p = normalized_adjacency(ring_graph())
-        ball = hop_ball(p, np.array([ISOLATED, 10, 10, RING + 1]), 1,
-                        limit=p.n)
-        assert ball.tolist() == [9, 10, 11, *TRIANGLE, ISOLATED]
+        sets, _ = ring_ops().row_sets(np.array([ISOLATED, 10, 10, RING + 1]),
+                                      1)
+        assert sets[1].tolist() == [10, RING + 1, ISOLATED]
+        assert sets[0].tolist() == [9, 10, 11, *TRIANGLE, ISOLATED]
 
     def test_limit(self):
-        p = normalized_adjacency(ring_graph())
-        assert hop_ball(p, np.array([0]), 3, limit=6) is None
-        assert hop_ball(p, np.array([0]), 3, limit=7).size == 7
+        # n/2 distinct drawn nodes stay a row set, n/2 + 1 are every node
+        ops = ring_ops()
+        half = ops.n // 2
+        top = ops.row_sets(np.arange(half).repeat(2), 0)[0][-1]
+        assert top.tolist() == list(range(half))
+        assert ops.row_sets(np.arange(half + 1), 0)[0] == [ALL]
+        # a batch whose sets cover more than half the ring runs every layer
+        # below its drawn nodes on the whole graph
+        sets, _ = ops.row_sets(np.arange(0, RING, 8), 6)
+        assert sets[-1].size == 5 and sets[0] is ALL
+        assert ops.row_sets(None, 2) == ([ALL] * 3, [None] * 2)
 
-    def test_induced_keeps_values(self):
-        p = normalized_adjacency(ring_graph())
-        ball = np.array([0, 1, 2, RING - 1, RING, RING + 1])
-        sub = p.induced(ball)
-        expect = p.to_scipy()[ball][:, ball].toarray()
-        assert np.array_equal(sub.to_scipy().toarray(), expect)
-        oracle = PropagationMatrix.from_scipy(p.to_scipy()[ball][:, ball])
-        assert sub.inf_norm == oracle.inf_norm
-        assert np.array_equal(sub.row_ptr, oracle.row_ptr)
-        assert np.array_equal(sub.col_idx, oracle.col_idx)
+    def test_links_keep_the_values_of_p(self):
+        ops = ring_ops()
+        p = ops.p.to_scipy().toarray()
+        sets, links = ops.row_sets(np.array([0, RING + 1]), 3)
+        for l, link in enumerate(links, start=1):
+            expect = p[sets[l]][:, sets[l - 1]]
+            assert np.array_equal(dense(link), expect)
+        # a set below that holds more than half the nodes keeps every column
+        below, link = ops.row_link(np.arange(0, RING, 2))
+        assert below is ALL
+        assert np.array_equal(dense(link), p[0:RING:2])
 
 
 class TestRestrict:
+    """Forward and gradients on the row sets of the drawn nodes only."""
+
     @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
     def test_logits_and_gradients_match_whole_graph(self, arch, depth):
         spec, ops, x, labels, w = instance(arch, depth)
         full = forward(spec, ops, x, w)
-        # ring nodes, the triangle (ball stops growing) and the isolated node
+        # ring nodes, the triangle (sets stop growing) and the isolated node
         for i in (0, 7, RING - 1, RING, RING + 2, ISOLATED):
-            sub_ops, ball = ops.restrict(np.array([i]))
-            assert ball.size < ops.n / 2
-            r = int(np.searchsorted(ball, i))
-            cache = forward(spec, sub_ops, x[ball], w)
-            assert rel_err(cache.logits[r], full.logits[i]) <= 1e-12
-            g_local = grad_sample(spec, sub_ops, x[ball], w, r,
-                                  int(labels[i]), cache=cache)
-            g_whole = grad_sample(spec, ops, x, w, i, int(labels[i]),
-                                  cache=full)
-            assert rel_err(g_local, g_whole) <= 1e-12
+            cache = forward(spec, ops, x, w, np.array([i]))
+            assert all(rows.size < ops.n / 2 for rows in cache.sets)
+            assert cache.logits.shape == (1, spec.num_classes)
+            assert rel_err(cache.logits[0], full.logits[i]) <= 1e-12
+            label = int(labels[i])
+            g_rows = grad_sample(spec, ops, x, w, i, label, cache=cache)
+            g_full = grad_sample(spec, ops, x, w, i, label, cache=full)
+            g_whole = grad_mean(spec, ops, x, w, np.array([i]), labels,
+                                cache=full)
+            assert rel_err(g_rows, g_whole) <= 1e-12
+            assert rel_err(g_full, g_whole) <= 1e-12
+            assert rel_err(g_full, g_rows) <= 1e-12
+            assert rel_err(grad_sample(spec, ops, x, w, i, label),
+                           g_whole) <= 1e-12
+
+    @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
+    def test_batch_that_repeats_a_pick(self, arch, depth):
+        spec, ops, x, labels, w = instance(arch, depth, seed=1)
+        full = forward(spec, ops, x, w)
+        picks = np.array([12, RING + 1, 12, ISOLATED, 14])
+        cache = forward(spec, ops, x, w, picks)
+        assert cache.sets[-1].tolist() == [12, 14, RING + 1, ISOLATED]
+        for j in picks:
+            label = int(labels[j])
+            g_union = grad_sample(spec, ops, x, w, int(j), label, cache=cache)
+            g_whole = grad_mean(spec, ops, x, w, np.array([j]), labels,
+                                cache=full)
+            assert rel_err(g_union, g_whole) <= 1e-12
+        with pytest.raises(ValueError, match="no logits"):
+            grad_sample(spec, ops, x, w, 13, int(labels[13]), cache=cache)
 
     def test_ball_depth_follows_the_architecture(self):
         sizes = {}
         for arch, depth in LOCAL_ARCHS:
             _, ops, _, _, _ = instance(arch, depth)
-            sizes[(arch, depth)] = ops.restrict(np.array([5]))[1].size
+            sets, _ = ops.row_sets(np.array([5]), ops.spec.receptive_hops())
+            sizes[(arch, depth)] = sets[0].size
         assert sizes == {("gcn", 2): 5, ("gcn", 6): 13, ("sgc", 2): 5,
                          ("gcnii", 2): 5, ("gcnii", 6): 13}
 
     @pytest.mark.parametrize("arch", ["appnp", "gprgnn"])
     def test_filter_models_stay_whole_graph(self, arch):
-        spec, ops, _, _, _ = instance(arch, 2)
-        assert ops.restrict(np.array([ISOLATED])) is None
+        spec, ops, x, labels, w = instance(arch, 2)
+        cache = forward(spec, ops, x, w, np.array([ISOLATED]))
+        full = forward(spec, ops, x, w)
+        assert np.array_equal(cache.logits, full.logits)
 
     @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
-    def test_small_graphs_stay_whole_graph(self, arch, depth):
-        # the isolated node's ball is the node itself, yet a graph of fewer
-        # than BALL_MIN_NODES nodes always runs on the whole graph
-        for ring, local in ((BALL_MIN_NODES - 5, False),
-                            (BALL_MIN_NODES - 4, True)):
-            _, ops, _, _, _ = instance(arch, depth, ring=ring)
-            assert ops.n == ring + 4
-            got = ops.restrict(np.array([ring + 3]))
-            assert (got is not None) == local
+    def test_small_graphs_take_row_sets(self, arch, depth):
+        # no graph-size threshold: on a ring of three nodes with the
+        # triangle and the isolated node beside it, the isolated node's
+        # sets are the node itself
+        spec, ops, x, labels, w = instance(arch, depth, ring=3)
+        assert ops.n == 7
+        cache = forward(spec, ops, x, w, np.array([6]))
+        assert [rows.tolist() for rows in cache.sets] == [[6]] * (
+            spec.receptive_hops() + 1)
+        full = forward(spec, ops, x, w)
+        assert rel_err(cache.logits[0], full.logits[6]) <= 1e-12
+        g_rows = grad_sample(spec, ops, x, w, 6, int(labels[6]), cache=cache)
+        g_whole = grad_mean(spec, ops, x, w, np.array([6]), labels, full)
+        assert rel_err(g_rows, g_whole) <= 1e-12
 
     def test_fallback_above_half_the_nodes(self):
-        # a star whose 1-hop ball is exactly n/2 nodes stays local; one more
-        # leaf puts n/2 + 1 nodes in the ball
-        n, spec = 2 * BALL_MIN_NODES, make_spec("gcn", 2)
+        # a star whose centre reads exactly n/2 rows stays on row sets; one
+        # more leaf puts n/2 + 1 rows in the set below the centre
+        n = 40
         for leaves, local in ((n // 2 - 1, True), (n // 2, False)):
             star = build_graph([(0, k) for k in range(1, leaves + 1)], n)
-            ops = PropOps(normalized_adjacency(star), spec)
-            got = ops.restrict(np.array([0]))
-            assert (got is not None) == local
+            ops = PropOps(normalized_adjacency(star), make_spec("gcn", 2))
+            sets, links = ops.row_sets(np.array([0]), 2)
+            assert sets[-1].tolist() == [0]
             if local:
-                assert got[1].tolist() == list(range(n // 2))
-            assert ops.restrict(np.array([n - 1]))[1].tolist() == [n - 1]
-        # a batch whose union covers more than half the ring falls back too
-        _, ring, _, _, _ = instance("gcn", 6)
-        assert ring.restrict(np.array([0]))[1].size == 13
-        assert ring.restrict(np.arange(0, RING, 20)) is None
+                assert [rows.tolist() for rows in sets[:2]] == [
+                    list(range(n // 2))] * 2
+            else:
+                assert sets[:2] == [ALL, ALL]
+                assert links[0] is None and links[1][1] == (1, n)
+            sets, _ = ops.row_sets(np.array([n - 1]), 2)
+            assert [rows.tolist() for rows in sets] == [[n - 1]] * 3
+
+
+class TestLocality:
+    @pytest.mark.parametrize("arch", ["gcn", "sgc", "gcnii"])
+    def test_step_reads_no_whole_graph_product(self, arch, monkeypatch):
+        spec, ops, x, labels, w = instance(arch, 2)
+
+        def whole_graph(self, m):
+            raise AssertionError("whole-graph product in a row-set step")
+
+        monkeypatch.setattr(PropOps, "propagate", whole_graph)
+        for i in (3, RING + 1, ISOLATED):
+            cache = forward(spec, ops, x, w, np.array([i]))
+            grad_sample(spec, ops, x, w, i, int(labels[i]), cache=cache)
+            grad_sample(spec, ops, x, w, i, int(labels[i]))
+        with pytest.raises(AssertionError, match="whole-graph"):
+            forward(spec, ops, x, w)
 
 
 def whole_graph_sgd(spec, ops, x, labels, split, config):
@@ -163,8 +232,8 @@ def whole_graph_sgd(spec, ops, x, labels, split, config):
         cache = forward(spec, ops, x, w)
         picks = split.train_idx[draw.integers(0, split.m,
                                               size=config.batch_size)]
-        grads = [grad_sample(spec, ops, x, w, int(j), int(labels[j]),
-                             cache=cache) for j in picks]
+        grads = [grad_mean(spec, ops, x, w, np.array([j]), labels, cache)
+                 for j in picks]
         g_emp = max([g_emp] + [np.sqrt(eta) * float(np.linalg.norm(g))
                                for g in grads])
         w = w - eta * np.mean(grads, axis=0)
