@@ -5,9 +5,9 @@ errors of a set of rows.  ``grad_mean`` runs it on every row, with the
 errors of an index multiset, to get the mean (or any weighted sum) of
 per-sample gradients.  ``grad_sample`` returns the exact gradient of one
 node's cross-entropy: for gcn, sgc and gcnii it runs ``_backward`` on that
-node's error row, back through the transposed links of the node's row sets
-(``PropOps.row_sets``), the forward's own when it ran on them; appnp and
-gprgnn read one row of their filter, which feeds the same MLP backward.
+node's error row, back through the transposed links of the node's plan
+(``PropOps.row_sets``, built once per node); appnp and gprgnn read one row
+of their filter, which feeds the same MLP backward.
 ``fd_gradient`` is the independent central-difference oracle used by the
 test suite and the gradcheck command.
 """
@@ -39,11 +39,13 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     top = cache.sets[-1]
     if top is not ALL and i not in top:
         raise ValueError(f"node {i} has no logits in this forward")
-    # the forward's own row sets when it ran for node i alone
-    rows = top if top is not ALL and top.size == 1 else np.array([i])
-    err = cache.probs[positions(top, rows)].copy()
+    # node i's plan: the forward's own when it ran for node i alone
+    plan = ((cache.sets, cache.links) if top is not ALL and top.size == 1
+            else ops.row_sets(np.array([i]), spec.receptive_hops(),
+                              spec.x_hops()))
+    err = cache.probs[positions(top, plan[0][-1])].copy()
     err[0, label] -= 1.0
-    _backward(spec, ops, x, cache, layout, mats, g, rows, err)
+    _backward(spec, ops, x, cache, layout, mats, g, err, plan)
     return g
 
 
@@ -80,70 +82,70 @@ def _mlp_backward(x, cache, layout, mats, g, dpre2):
     layout.view(g, "W1")[...] = x.T @ dpre1
 
 
-def _spread(ops, cache, layer, rows, m):
-    """P^T @ M for an M on the row set ``rows`` of ``layer``, as (the row
-    set one layer down, values): through the forward's own link when
-    ``rows`` is the set it ran on, else through ``PropOps.row_link``."""
-    if rows is cache.sets[layer]:
-        below, link = cache.sets[layer - 1], cache.links[layer - 1]
-    else:
-        below, link = ops.row_link(rows)
-    return below, ops.propagate_link(link, m, transpose=True)
+def _spread(ops, plan, layer, m):
+    """P[S_layer, S_{layer-1}]^T @ m along a plan (sets, links) of
+    ``PropOps.row_sets``, whose links count from the top layer."""
+    sets, links = plan
+    return ops.propagate_link(links[layer - len(sets)], m, transpose=True)
 
 
-def _backward(spec, ops, x, cache, layout, mats, g, rows, err):
-    """The backward pass of each architecture from logit errors ``err``,
-    one row for each node of the row set ``rows`` (``ALL``, or sorted nodes
-    with logits in ``cache``), which moves down a layer with each
-    ``_spread``.  appnp and gprgnn take every node and run the errors
-    through the transposed filter, the ``gpr_powers`` stack weighted by
-    ``cache.gamma``."""
+def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
+    """The backward pass of each architecture from logit errors ``err``.
+
+    gcn, sgc and gcnii run them down ``plan`` (the forward's own row sets
+    and links by default), a plan of ``PropOps.row_sets`` whose sets lie
+    inside the forward's: ``err`` holds one row for each node of its top
+    set, and the errors at layer l sit on its set S_l.  appnp and gprgnn
+    take every node and run the errors through the transposed filter, the
+    ``gpr_powers`` stack weighted by ``cache.gamma``."""
     act = spec.activation
     depth = spec.depth
-    if spec.arch == "gcn":
-        at = positions(cache.sets[depth], rows)
-        layout.view(g, f"W{depth}")[...] = cache.z_last[at].T @ err
-        rows, dh = _spread(ops, cache, depth, rows, err @ mats[f"W{depth}"].T)
-        for l in range(depth - 1, 0, -1):
-            at = positions(cache.sets[l], rows)
-            dpre = dh * act_deriv(act, cache.pres[l - 1][at])
-            layout.view(g, f"W{l}")[...] = cache.zs[l - 1][at].T @ dpre
-            if l > 1:
-                rows, dh = _spread(ops, cache, l, rows, dpre @ mats[f"W{l}"].T)
-    elif spec.arch == "sgc":
-        at = positions(cache.sets[2], rows)
-        layout.view(g, "W2")[...] = cache.zw1[at].T @ err
-        layout.view(g, "W1")[...] = cache.z[at].T @ (err @ mats["W2"].T)
-    elif spec.arch in ("appnp", "gprgnn"):
+    if spec.arch in ("appnp", "gprgnn"):
         if "gamma" in layout.names():
             gg = layout.view(g, "gamma")
             gg[...] = [np.sum(err * hop) for hop in cache.stack]
         dstack = gpr_powers(ops.p, err, spec.big_k)
         dh = np.tensordot(cache.gamma, dstack, axes=(0, 0))
         _mlp_backward(x, cache, layout, mats, g, dh * cache.sp2)
+        return
+    if plan is None:
+        plan = cache.sets, cache.links
+    sets = plan[0]
+
+    def at(l):  # where S_l sits in the forward's layer-l arrays
+        return positions(cache.sets[l], sets[l])
+
+    if spec.arch == "gcn":
+        layout.view(g, f"W{depth}")[...] = cache.z_last[at(depth)].T @ err
+        dh = _spread(ops, plan, depth, err @ mats[f"W{depth}"].T)
+        for l in range(depth - 1, 0, -1):
+            dpre = dh * act_deriv(act, cache.pres[l - 1][at(l)])
+            layout.view(g, f"W{l}")[...] = cache.zs[l - 1][at(l)].T @ dpre
+            if l > 1:
+                dh = _spread(ops, plan, l, dpre @ mats[f"W{l}"].T)
+    elif spec.arch == "sgc":
+        layout.view(g, "W2")[...] = cache.zw1[at(2)].T @ err
+        layout.view(g, "W1")[...] = cache.z[at(2)].T @ (err @ mats["W2"].T)
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-        at = positions(cache.sets[depth], rows)
-        layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth][at].T @ err
+        layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth][at(depth)].T @ err
         dh = err @ mats[f"W{depth + 1}"].T
         dh0 = 0.0  # the error at H0, on the current row set
         for l in range(depth, 0, -1):
-            at = positions(cache.sets[l], rows)
-            dpre = dh * act_deriv(act, cache.pres[l][at])
+            dpre = dh * act_deriv(act, cache.pres[l][at(l)])
             layout.view(g, f"W{l}")[...] = betas[l - 1] * (
-                cache.aggs[l - 1][at].T @ dpre)
+                cache.aggs[l - 1][at(l)].T @ dpre)
             dm = dpre @ cache.psis[l - 1].T
             dh0 = dh0 + alphas[l - 1] * dm
-            below, dh = _spread(ops, cache, l, rows, dm)
-            if below is not rows:
+            dh = _spread(ops, plan, l, dm)
+            if sets[l - 1] is not sets[l]:
                 lifted = np.zeros(dh.shape)
-                lifted[positions(below, rows)] = dh0
-                dh0, rows = lifted, below
+                lifted[positions(sets[l - 1], sets[l])] = dh0
+                dh0 = lifted
             dh = (1.0 - alphas[l - 1]) * dh
         dh0 += dh
-        at = positions(cache.sets[0], rows)
-        layout.view(g, "W0")[...] = x[rows].T @ (
-            dh0 * act_deriv(act, cache.pres[0][at]))
+        layout.view(g, "W0")[...] = x[sets[0]].T @ (
+            dh0 * act_deriv(act, cache.pres[0][at(0)]))
 
 
 def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
@@ -171,7 +173,7 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     np.add.at(delta, idx,
               err / idx.size if weights is None else err * weights[:, None])
 
-    _backward(spec, ops, x, cache, layout, mats, g, ALL, delta)
+    _backward(spec, ops, x, cache, layout, mats, g, delta)
     return g
 
 

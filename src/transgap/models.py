@@ -6,7 +6,10 @@ its dimensions, a flat float64 parameter vector with a fixed column-major
 intermediate the analytic gradients need.  gcn, sgc and gcnii run layer l
 on a row set S_l (``PropOps.row_sets``): S_L holds the nodes whose logits
 are asked for, S_{l-1} the rows that P[S_l, :] reads, and a set that holds
-more than half the nodes is every node.  appnp and gprgnn compute their
+more than half the nodes is every node.  A ``PropOps`` keeps what a step
+computes that does not depend on w: the row sets and sparse blocks of each
+drawn node, and the products P X and P^2 X that gcn's and sgc's first
+layer read (``PropOps.x_products``).  appnp and gprgnn compute their
 node-wise MLP on every node and return a ``FilterCache``, which forms the
 whole-graph filter product (a weighted ``gpr_powers`` stack) on the first
 read of logits.
@@ -108,6 +111,11 @@ class ModelSpec:
             return 2
         return None
 
+    def x_hops(self) -> int:
+        """Hops of P that the first layer reads from products of X alone
+        (``PropOps.x_products``): P X for gcn, P^2 X for sgc."""
+        return {"gcn": 1, "sgc": 2}.get(self.arch, 0)
+
     def activation_width(self) -> int:
         """Largest vector width the nonlinearity is applied to."""
         if self.arch in ("appnp", "gprgnn"):
@@ -205,7 +213,12 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 class PropOps:
-    """Per-(graph, spec) propagation helpers shared by forward and gradients."""
+    """Per-(graph, spec) propagation helpers shared by forward and gradients.
+
+    It also keeps, once built, what a step computes that does not depend on
+    w: the plan (``row_sets``) of each drawn node, and the products of X
+    that gcn's and sgc's first layer read (``x_products``).
+    """
 
     def __init__(self, p: PropagationMatrix, spec: ModelSpec):
         self.p = p
@@ -215,6 +228,13 @@ class PropOps:
         if spec.arch == "appnp":
             if p.n <= FILTER_MATERIALIZE_LIMIT:
                 self.filter = appnp_filter(p, spec.gamma, spec.big_k)
+        self._plans: dict = {}
+        # Set members and link nonzeros the kept plans may hold: as many as
+        # the L hidden n x h arrays of a whole-graph forward, so memory stays
+        # linear in n.
+        self.plan_room = (spec.receptive_hops() or 0) * p.n * spec.h
+        self.plan_entries = 0
+        self._x = self._xp = None
 
     @property
     def n(self) -> int:
@@ -222,6 +242,13 @@ class PropOps:
 
     def propagate(self, m: np.ndarray) -> np.ndarray:
         return self._csr @ m
+
+    def x_products(self, x: np.ndarray) -> np.ndarray:
+        """The stack [X, P X, ..., P^k X], k = ``spec.x_hops()``, of the X
+        last given; a new array (by identity) rebuilds it."""
+        if x is not self._x:
+            self._x, self._xp = x, gpr_powers(self.p, x, self.spec.x_hops())
+        return self._xp
 
     def appnp_row(self, i: int) -> np.ndarray:
         """Dense row i of the teleport filter (filters are symmetric)."""
@@ -231,12 +258,13 @@ class PropOps:
         e[i] = 1.0
         return appnp_apply(self.p, self.spec.gamma, self.spec.big_k, e)
 
-    def row_link(self, rows) -> tuple:
+    def row_link(self, rows, block: bool = True) -> tuple:
         """(S', link) for a row set S: S' is S with the column support of
-        P[S, :] (sorted), and the link is P[S, S'] as CSR arrays (P's
-        values, columns in S', row pointers) and its shape, read from
-        ``row_ptr``/``col_idx``.  S' is ``ALL`` once it holds more than half
-        the nodes; S = ``ALL`` gives (``ALL``, None), the whole graph.
+        P[S, :] (sorted), and the link is the block P[S, S'] as a CSR array
+        with P's values, paired with its transpose as a CSC array over the
+        same arrays (None without ``block``).  S' is ``ALL`` once it holds
+        more than half the nodes; S = ``ALL`` gives (``ALL``, None), the
+        whole graph.
         """
         if isinstance(rows, slice):
             return ALL, None
@@ -252,35 +280,54 @@ class PropOps:
             below, local, width = ALL, cols, self.n
         else:
             local, width = np.searchsorted(below, cols), below.size
-        return below, ((p.values[pos], local, ptr), (rows.size, width))
+        if not block:
+            return below, None
+        csr = sp.csr_array((p.values[pos], local, ptr), shape=(rows.size, width))
+        return below, (csr, csr.T)
 
-    def row_sets(self, rows, hops: int) -> tuple[list, list]:
-        """Row sets [S_0, ..., S_hops] and links [P[S_1, S_0], ...] for the
-        logits of the nodes ``rows``: S_hops holds the distinct nodes
-        (``ALL`` for None or more than half the nodes), the rest follow
-        from ``row_link``.
+    def row_sets(self, rows, hops: int, unlinked: int = 0) -> tuple[list, list]:
+        """Row sets [S_0, ..., S_hops] and links [P[S_{u+1}, S_u], ...,
+        P[S_hops, S_{hops-1}]] for the logits of the nodes ``rows``, with
+        u = ``unlinked``: the layers at or below u read products of X
+        (``x_products``) and need no link, so the link into layer l is
+        ``links[l - 1 - hops]``.  S_hops holds the distinct nodes (``ALL``
+        for None or more than half the nodes), the rest follow from
+        ``row_link``.
+
+        The plan of one node (``rows`` of length 1) is built once and kept,
+        until the kept plans hold ``plan_room`` set members and link
+        nonzeros; any other plan is built at every call.  Callers must not
+        change what it returns.
         """
+        key = (None if rows is None or len(rows) != 1
+               else (int(rows[0]), hops, unlinked))
+        if key in self._plans:
+            return self._plans[key]
         top = ALL if rows is None else np.unique(rows)
         if top is not ALL and top.size > self.n / 2:
             top = ALL
         sets, links = [top], []
-        for _ in range(hops):
-            below, link = self.row_link(sets[0])
+        for layer in range(hops, 0, -1):
+            below, link = self.row_link(sets[0], block=layer > unlinked)
             sets.insert(0, below)
-            links.insert(0, link)
+            if layer > unlinked:
+                links.insert(0, link)
+        if key is not None:
+            size = (sum(s.size for s in sets if s is not ALL)
+                    + sum(link[0].nnz for link in links if link is not None))
+            if self.plan_entries + size <= self.plan_room:
+                self._plans[key] = sets, links
+                self.plan_entries += size
         return sets, links
 
     def propagate_link(self, link, m: np.ndarray,
                        transpose: bool = False) -> np.ndarray:
-        """P[S, S'] @ m through a ``row_link`` link, read as a CSR block or,
-        with ``transpose``, as the CSC block of its transpose; the
-        whole-graph ``propagate`` for link None (P is symmetric)."""
+        """P[S, S'] @ m through a ``row_link`` link, or P[S, S']^T @ m with
+        ``transpose``; the whole-graph ``propagate`` for link None (P is
+        symmetric)."""
         if link is None:
             return self.propagate(m)
-        arrays, (k, width) = link
-        if transpose:
-            return sp.csc_array(arrays, shape=(width, k)) @ m
-        return sp.csr_array(arrays, shape=(k, width)) @ m
+        return (link[1] if transpose else link[0]) @ m
 
     def power_row(self, i: int, big_k: int) -> np.ndarray:
         """Stack of rows [P^k]_{i*} for k = 0..K (P symmetric)."""
@@ -301,7 +348,8 @@ class ForwardCache:
     """All intermediates the backward pass reads, plus logits; the row
     softmax ``probs`` is formed on first read.  gcn, sgc and gcnii keep
     the ``sets`` and ``links`` of ``PropOps.row_sets``: layer l's arrays
-    hold the rows of ``sets[l]``."""
+    hold the rows of ``sets[l]``, and gcn's and sgc's first layer reads
+    its rows of ``PropOps.x_products``."""
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
@@ -393,22 +441,21 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             pre1=pre1, s1=s1, sp1=act_deriv(act, pre1),
             pre2=pre2, h=h, sp2=act_deriv(act, pre2))
 
-    sets, links = ops.row_sets(rows, spec.receptive_hops())
+    hops = spec.receptive_hops()
+    sets, links = ops.row_sets(rows, hops, spec.x_hops())
     if spec.arch == "gcn":
         zs, pres = [], []
-        m = x[sets[0]]
+        z = _x_rows(ops, x, rows, sets)
         for l in range(1, spec.depth):
-            z = ops.propagate_link(links[l - 1], m)
             pre = z @ mats[f"W{l}"]
             zs.append(z)
             pres.append(pre)
-            m = act_eval(act, pre)
-        z_last = ops.propagate_link(links[-1], m)
-        logits = z_last @ mats[f"W{spec.depth}"]
-        cache = ForwardCache(zs=zs, pres=pres, z_last=z_last)
+            # the link into layer l + 1
+            z = ops.propagate_link(links[l - hops], act_eval(act, pre))
+        logits = z @ mats[f"W{spec.depth}"]
+        cache = ForwardCache(zs=zs, pres=pres, z_last=z)
     elif spec.arch == "sgc":
-        z = ops.propagate_link(links[1],
-                               ops.propagate_link(links[0], x[sets[0]]))
+        z = _x_rows(ops, x, rows, sets)
         zw1 = z @ mats["W1"]
         logits = zw1 @ mats["W2"]
         cache = ForwardCache(z=z, zw1=zw1)
@@ -420,9 +467,12 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         h = h0
         for l in range(1, spec.depth + 1):
             a_l, b_l = alphas[l - 1], betas[l - 1]
-            agg = ((1.0 - a_l) * ops.propagate_link(links[l - 1], h)
-                   + a_l * h0[positions(sets[0], sets[l])])
-            psi = (1.0 - b_l) * np.eye(spec.h) + b_l * mats[f"W{l}"]
+            agg = ops.propagate_link(links[l - 1 - hops], h)
+            agg *= 1.0 - a_l
+            agg += a_l * h0[positions(sets[0], sets[l])]
+            # C order: BLAS takes another path, and other bytes, for F
+            psi = np.multiply(b_l, mats[f"W{l}"], order="C")
+            psi.flat[::spec.h + 1] += 1.0 - b_l
             pre = agg @ psi
             h = act_eval(act, pre)
             aggs.append(agg)
@@ -436,6 +486,19 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     cache.logits = logits
     cache.sets, cache.links = sets, links
     return cache
+
+
+def _x_rows(ops: PropOps, x: np.ndarray, rows, sets: list) -> np.ndarray:
+    """(P^k X)[S_k], k = ``spec.x_hops()``: read from ``ops.x_products``
+    for a forward on the row sets of ``rows``.  A whole-graph forward
+    (``rows`` None) is not a step and multiplies X itself, so only a
+    ``PropOps`` that takes steps holds the products."""
+    k = ops.spec.x_hops()
+    if rows is not None:
+        return ops.x_products(x)[k][sets[k]]
+    for _ in range(k):
+        x = ops.propagate(x)
+    return x
 
 
 def node_loss(cache: ForwardCache, i: int, label: int) -> float:

@@ -4,14 +4,16 @@ The row sets of a node are the layers of its receptive ball: S_l holds the
 nodes within L - l hops, so S_0 is the L-hop ball.
 """
 
+import collections
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from transgap import models
 from transgap.activations import ActivationSpec
 from transgap.datasets import Split
 from transgap.gradients import grad_mean, grad_sample
-from transgap.graphs import build_graph, normalized_adjacency
+from transgap.graphs import build_graph, gpr_powers, normalized_adjacency
 from transgap.models import ALL, ModelSpec, PropOps, forward, init_params
 from transgap.rng import stream
 from transgap.training import LrSchedule, SgdConfig, evaluate, run_sgd
@@ -54,8 +56,11 @@ def rel_err(a, b):
 
 
 def dense(link):
-    arrays, shape = link
-    return sp.csr_array(arrays, shape=shape).toarray()
+    """The block P[S, S'] of a link, checking that its second half is the
+    transpose."""
+    block, block_t = link
+    assert np.array_equal(block_t.toarray(), block.toarray().T)
+    return block.toarray()
 
 
 def ring_ops():
@@ -198,7 +203,7 @@ class TestRestrict:
                     list(range(n // 2))] * 2
             else:
                 assert sets[:2] == [ALL, ALL]
-                assert links[0] is None and links[1][1] == (1, n)
+                assert links[0] is None and links[1][0].shape == (1, n)
             sets, _ = ops.row_sets(np.array([n - 1]), 2)
             assert [rows.tolist() for rows in sets] == [[n - 1]] * 3
 
@@ -266,3 +271,139 @@ class TestRunSgdOnBalls:
             got = (cp.r_m, cp.r_u, cp.acc_m, cp.acc_u, cp.grad_gap, cp.dist,
                    cp.g_emp)
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+
+
+def counted(monkeypatch):
+    """Count whole-graph products, link products (forward and transposed),
+    ``row_link`` calls and builds of the X products from here on."""
+    calls = collections.Counter()
+
+    def wrap(owner, name, key):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key(args, kwargs)] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    wrap(PropOps, "propagate", lambda a, kw: "whole")
+    wrap(PropOps, "propagate_link", lambda a, kw: (
+        "transposed" if kw.get("transpose", len(a) > 3 and a[3])
+        else "forward"))
+    wrap(PropOps, "row_link", lambda a, kw: "row_link")
+    wrap(models, "gpr_powers", lambda a, kw: "x_products")
+    return calls
+
+
+def step(spec, ops, x, labels, w, picks):
+    """One step's forward and per-sample gradients, as ``run_sgd`` runs it."""
+    cache = forward(spec, ops, x, w, picks)
+    return cache, [grad_sample(spec, ops, x, w, int(j), int(labels[j]),
+                               cache=cache) for j in picks]
+
+
+class TestStepProducts:
+    def test_sgc_step_makes_no_sparse_product(self, monkeypatch):
+        spec, ops, x, labels, w = instance("sgc", 2)
+        step(spec, ops, x, labels, w, np.array([3]))
+        calls = counted(monkeypatch)
+        step(spec, ops, x, labels, w, np.array([12]))
+        assert calls["row_link"] == 2
+        assert set(calls) == {"row_link"}
+
+    def test_gcn_step_makes_one_product_each_way(self, monkeypatch):
+        spec, ops, x, labels, w = instance("gcn", 2)
+        step(spec, ops, x, labels, w, np.array([3]))
+        calls = counted(monkeypatch)
+        step(spec, ops, x, labels, w, np.array([12]))
+        assert calls["forward"] == 1 and calls["transposed"] == 1
+        assert calls["whole"] == 0 and calls["x_products"] == 0
+
+    @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
+    def test_second_step_on_a_node_builds_no_link(self, arch, depth,
+                                                  monkeypatch):
+        spec, ops, x, labels, w = instance(arch, depth)
+        full = forward(spec, ops, x, w)
+        for i in (5, RING + 1, ISOLATED):
+            step(spec, ops, x, labels, w, np.array([i]))
+            grad_sample(spec, ops, x, w, i, int(labels[i]), cache=full)
+        calls = counted(monkeypatch)
+        for i in (5, RING + 1, ISOLATED):
+            step(spec, ops, x, labels, w, np.array([i]))
+            # a gradient from a whole-graph forward, as the analyze scan takes
+            grad_sample(spec, ops, x, w, i, int(labels[i]), cache=full)
+        assert calls["row_link"] == 0 and calls["x_products"] == 0
+
+    @pytest.mark.parametrize("arch", ["gcn", "sgc"])
+    def test_a_new_x_gets_its_own_products(self, arch):
+        spec, ops, x, labels, w = instance(arch, 2)
+        x2 = x[::-1].copy()
+        k = spec.x_hops()
+        for xs in (x, x2, x):
+            logits = forward(spec, ops, xs, w, np.array([7])).logits
+            fresh = PropOps(ops.p, spec)
+            assert logits.tobytes() == forward(
+                spec, fresh, xs, w, np.array([7])).logits.tobytes()
+            assert np.array_equal(ops.x_products(xs), gpr_powers(ops.p, xs, k))
+
+
+def tight_ops(arch, depth):
+    """An instance with h = 1, so the plan memo fills after a few nodes."""
+    spec = make_spec(arch, depth, h=1)
+    _, ops, x, labels, _ = instance(arch, depth)
+    return spec, PropOps(ops.p, spec), x, labels, init_params(spec, 0)
+
+
+class TestPlanMemo:
+    """Kept plans and X products change no bytes, and the plans stay within
+    L n h entries."""
+
+    @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_warmed_ops_give_the_bytes_of_fresh_ones(self, arch, depth,
+                                                     batch):
+        spec, warm, x, labels, w = instance(arch, depth, seed=5)
+        full = forward(spec, warm, x, w)
+        for i in range(warm.n):
+            grad_sample(spec, warm, x, w, i, int(labels[i]), cache=full)
+        for picks in ([0, 9], [RING + 1, ISOLATED], [21, 21], [33, 2]):
+            picks = np.array(picks[:batch])
+            c_warm, g_warm = step(spec, warm, x, labels, w, picks)
+            c_fresh, g_fresh = step(spec, PropOps(warm.p, spec), x, labels, w,
+                                    picks)
+            assert c_warm.logits.tobytes() == c_fresh.logits.tobytes()
+            for a, b in zip(g_warm, g_fresh):
+                assert a.tobytes() == b.tobytes()
+        train = np.array([0, 3, 9, 17, 25, 33, RING + 1, ISOLATED])
+        split = Split(train_idx=train,
+                      test_idx=np.setdiff1d(np.arange(warm.n), train))
+        config = SgdConfig(big_t=12, seed=3, batch_size=batch,
+                           schedule=LrSchedule("inverse_time", 2.0, 5.0),
+                           eval_every=4)
+        w_warm, t_warm = run_sgd(spec, warm, x, labels, split, config)
+        w_fresh, t_fresh = run_sgd(spec, PropOps(warm.p, spec), x, labels,
+                                   split, config)
+        assert t_warm.to_csv() == t_fresh.to_csv()
+        assert w_warm.tobytes() == w_fresh.tobytes()
+
+    @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
+    def test_memo_stays_within_l_n_h(self, arch, depth):
+        spec, ops, x, labels, w = tight_ops(arch, depth)
+        roomy = PropOps(ops.p, spec)
+        roomy.plan_room = 10 ** 9
+        assert ops.plan_room == spec.receptive_hops() * ops.n * spec.h
+        hops, unlinked = spec.receptive_hops(), spec.x_hops()
+        kept = []
+        for i in range(ops.n):
+            picks = np.array([i])
+            _, (g,) = step(spec, ops, x, labels, w, picks)
+            _, (g_roomy,) = step(spec, roomy, x, labels, w, picks)
+            assert g.tobytes() == g_roomy.tobytes()
+            plan = ops.row_sets(picks, hops, unlinked)
+            kept.append(ops.row_sets(picks, hops, unlinked) is plan)
+            assert ops.plan_entries <= ops.plan_room
+        assert any(kept) and not all(kept)
+        assert all(roomy.row_sets(np.array([i]), hops, unlinked)
+                   is roomy.row_sets(np.array([i]), hops, unlinked)
+                   for i in range(ops.n))
