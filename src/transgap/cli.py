@@ -397,6 +397,9 @@ def cmd_train(args) -> int:
         t0 = theory_offset(rep.p_f, spec.activation.alpha_tilde,
                            lambda text: print(f"warning: {text}",
                                               file=sys.stderr))
+        if t0 == math.inf:
+            raise UsageError("--t0-auto: the theory offset overflows, so no "
+                             "finite t0 exists")
         sgd = replace(sgd, schedule=replace(sgd.schedule, t0=t0))
     if args.optimizer == "adam":
         print("warning: certificates are stated for the single-draw "

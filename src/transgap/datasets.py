@@ -159,6 +159,8 @@ def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
         raise BundleFormatError(f"{meta_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise BundleFormatError(f"{meta_path}: {exc}") from None
+    if n < 1:
+        raise BundleFormatError(f"{meta_path}: n must be >= 1, got {n}")
     graph = _read_edges(root / "edges.tsv", n)
     x = _load_table(root / "features.csv", np.float64, delimiter=",", ndmin=2)
     if x.shape != (n, d):

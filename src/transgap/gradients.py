@@ -39,10 +39,7 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     top = cache.sets[-1]
     if top is not ALL and i not in top:
         raise ValueError(f"node {i} has no logits in this forward")
-    # node i's plan: the forward's own when it ran for node i alone
-    plan = ((cache.sets, cache.links) if top is not ALL and top.size == 1
-            else ops.row_sets(np.array([i]), spec.receptive_hops(),
-                              spec.x_hops()))
+    plan = ops.row_sets(np.array([i]))
     err = cache.probs[positions(top, plan[0][-1])].copy()
     err[0, label] -= 1.0
     _backward(spec, ops, x, cache, layout, mats, g, err, plan)
@@ -82,13 +79,6 @@ def _mlp_backward(x, cache, layout, mats, g, dpre2):
     layout.view(g, "W1")[...] = x.T @ dpre1
 
 
-def _spread(ops, plan, layer, m):
-    """P[S_layer, S_{layer-1}]^T @ m along a plan (sets, links) of
-    ``PropOps.row_sets``, whose links count from the top layer."""
-    sets, links = plan
-    return ops.propagate_link(links[layer - len(sets)], m, transpose=True)
-
-
 def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
     """The backward pass of each architecture from logit errors ``err``.
 
@@ -108,21 +98,21 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
         dh = np.tensordot(cache.gamma, dstack, axes=(0, 0))
         _mlp_backward(x, cache, layout, mats, g, dh * cache.sp2)
         return
-    if plan is None:
-        plan = cache.sets, cache.links
-    sets = plan[0]
+    sets, links = plan or (cache.sets, cache.links)
 
     def at(l):  # where S_l sits in the forward's layer-l arrays
         return positions(cache.sets[l], sets[l])
 
     if spec.arch == "gcn":
         layout.view(g, f"W{depth}")[...] = cache.z_last[at(depth)].T @ err
-        dh = _spread(ops, plan, depth, err @ mats[f"W{depth}"].T)
+        dh = ops.propagate_link(links[depth], err @ mats[f"W{depth}"].T,
+                                transpose=True)
         for l in range(depth - 1, 0, -1):
             dpre = dh * act_deriv(act, cache.pres[l - 1][at(l)])
             layout.view(g, f"W{l}")[...] = cache.zs[l - 1][at(l)].T @ dpre
             if l > 1:
-                dh = _spread(ops, plan, l, dpre @ mats[f"W{l}"].T)
+                dh = ops.propagate_link(links[l], dpre @ mats[f"W{l}"].T,
+                                        transpose=True)
     elif spec.arch == "sgc":
         layout.view(g, "W2")[...] = cache.zw1[at(2)].T @ err
         layout.view(g, "W1")[...] = cache.z[at(2)].T @ (err @ mats["W2"].T)
@@ -137,7 +127,7 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
                 cache.aggs[l - 1][at(l)].T @ dpre)
             dm = dpre @ cache.psis[l - 1].T
             dh0 = dh0 + alphas[l - 1] * dm
-            dh = _spread(ops, plan, l, dm)
+            dh = ops.propagate_link(links[l], dm, transpose=True)
             if sets[l - 1] is not sets[l]:
                 lifted = np.zeros(dh.shape)
                 lifted[positions(sets[l - 1], sets[l])] = dh0

@@ -258,13 +258,12 @@ class PropOps:
         e[i] = 1.0
         return appnp_apply(self.p, self.spec.gamma, self.spec.big_k, e)
 
-    def row_link(self, rows, block: bool = True) -> tuple:
+    def row_link(self, rows) -> tuple:
         """(S', link) for a row set S: S' is S with the column support of
         P[S, :] (sorted), and the link is the block P[S, S'] as a CSR array
         with P's values, paired with its transpose as a CSC array over the
-        same arrays (None without ``block``).  S' is ``ALL`` once it holds
-        more than half the nodes; S = ``ALL`` gives (``ALL``, None), the
-        whole graph.
+        same arrays.  S' is ``ALL`` once it holds more than half the nodes;
+        S = ``ALL`` gives (``ALL``, None), the whole graph.
         """
         if isinstance(rows, slice):
             return ALL, None
@@ -280,40 +279,37 @@ class PropOps:
             below, local, width = ALL, cols, self.n
         else:
             local, width = np.searchsorted(below, cols), below.size
-        if not block:
-            return below, None
         csr = sp.csr_array((p.values[pos], local, ptr), shape=(rows.size, width))
         return below, (csr, csr.T)
 
-    def row_sets(self, rows, hops: int, unlinked: int = 0) -> tuple[list, list]:
-        """Row sets [S_0, ..., S_hops] and links [P[S_{u+1}, S_u], ...,
-        P[S_hops, S_{hops-1}]] for the logits of the nodes ``rows``, with
-        u = ``unlinked``: the layers at or below u read products of X
-        (``x_products``) and need no link, so the link into layer l is
-        ``links[l - 1 - hops]``.  S_hops holds the distinct nodes (``ALL``
-        for None or more than half the nodes), the rest follow from
-        ``row_link``.
+    def row_sets(self, rows) -> tuple[list, list]:
+        """The plan of the logits of the nodes ``rows``: lists ``sets`` and
+        ``links`` indexed by layer, for layers u..L with u = ``spec.x_hops()``
+        and L = ``spec.receptive_hops()``.  ``sets[l]`` is the row set S_l
+        and ``links[l]`` the link P[S_l, S_{l-1}] of ``row_link``; entries
+        below u are None, as is ``links[u]``: the layers up to u read
+        products of X (``x_products``).  S_L holds the distinct nodes
+        (``ALL`` for None or more than half the nodes), the sets below
+        follow from ``row_link``.
 
         The plan of one node (``rows`` of length 1) is built once and kept,
         until the kept plans hold ``plan_room`` set members and link
         nonzeros; any other plan is built at every call.  Callers must not
         change what it returns.
         """
-        key = (None if rows is None or len(rows) != 1
-               else (int(rows[0]), hops, unlinked))
+        key = None if rows is None or len(rows) != 1 else int(rows[0])
         if key in self._plans:
             return self._plans[key]
+        hops, u = self.spec.receptive_hops(), self.spec.x_hops()
         top = ALL if rows is None else np.unique(rows)
         if top is not ALL and top.size > self.n / 2:
             top = ALL
-        sets, links = [top], []
-        for layer in range(hops, 0, -1):
-            below, link = self.row_link(sets[0], block=layer > unlinked)
-            sets.insert(0, below)
-            if layer > unlinked:
-                links.insert(0, link)
+        sets, links = [None] * (hops + 1), [None] * (hops + 1)
+        sets[hops] = top
+        for l in range(hops, u, -1):
+            sets[l - 1], links[l] = self.row_link(sets[l])
         if key is not None:
-            size = (sum(s.size for s in sets if s is not ALL)
+            size = (sum(s.size for s in sets[u:] if s is not ALL)
                     + sum(link[0].nnz for link in links if link is not None))
             if self.plan_entries + size <= self.plan_room:
                 self._plans[key] = sets, links
@@ -441,8 +437,7 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             pre1=pre1, s1=s1, sp1=act_deriv(act, pre1),
             pre2=pre2, h=h, sp2=act_deriv(act, pre2))
 
-    hops = spec.receptive_hops()
-    sets, links = ops.row_sets(rows, hops, spec.x_hops())
+    sets, links = ops.row_sets(rows)
     if spec.arch == "gcn":
         zs, pres = [], []
         z = _x_rows(ops, x, rows, sets)
@@ -450,8 +445,7 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             pre = z @ mats[f"W{l}"]
             zs.append(z)
             pres.append(pre)
-            # the link into layer l + 1
-            z = ops.propagate_link(links[l - hops], act_eval(act, pre))
+            z = ops.propagate_link(links[l + 1], act_eval(act, pre))
         logits = z @ mats[f"W{spec.depth}"]
         cache = ForwardCache(zs=zs, pres=pres, z_last=z)
     elif spec.arch == "sgc":
@@ -467,7 +461,7 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         h = h0
         for l in range(1, spec.depth + 1):
             a_l, b_l = alphas[l - 1], betas[l - 1]
-            agg = ops.propagate_link(links[l - 1 - hops], h)
+            agg = ops.propagate_link(links[l], h)
             agg *= 1.0 - a_l
             agg += a_l * h0[positions(sets[0], sets[l])]
             # C order: BLAS takes another path, and other bytes, for F

@@ -168,16 +168,19 @@ def schedule_offset(p_const: float, alpha: float,
     """Smallest admissible schedule offset t0 given the smoothness constant.
 
     Returns max((2P)^(1/alpha), 1), scaled by 2/mu when a curvature constant
-    is supplied.
+    is supplied; inf when the power overflows a float.
     """
     if p_const <= 0.0:
         raise ValueError("P must be positive")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    base = (2.0 * p_const) ** (1.0 / alpha)
+    if mu is not None and not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
+    try:
+        base = (2.0 * p_const) ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
     if mu is not None:
-        if not 0.0 < mu < math.inf:
-            raise ValueError("mu must be positive and finite")
         base *= 2.0 / mu
     return max(base, 1.0)
 

@@ -197,6 +197,50 @@ class TestExitCodes:
         assert res.returncode == 2, res.stderr
         assert f"data error: {data / name}" in res.stderr
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_bundle_without_nodes_is_data_error(self, n, bundle_dir,
+                                                tmp_path):
+        import shutil
+
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, data)
+        if n == 0:
+            for name in ("edges.tsv", "features.csv", "labels.csv"):
+                (data / name).write_text("")
+        (data / "meta.json").write_text(json.dumps(
+            {"n": n, "d": 4, "num_classes": 2, "name": "x"}))
+        out = tmp_path / "t.csv"
+        res = run_cli(["train", "--data", str(data), "--T", "2",
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert (f"data error: {data / 'meta.json'}: n must be >= 1, got {n}"
+                in res.stderr)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--q=1.001", "--alpha-rate=1e-300"])
+    def test_analyze_overflowing_theory_offset_is_inf(self, flag, bundle_dir,
+                                                      tmp_path):
+        # (2 P_F)^(1/alpha) overflows a float: no finite offset exists
+        out = tmp_path / "a.json"
+        res = run_cli(["analyze", "--data", str(bundle_dir), flag, "--T", "2",
+                       "--hidden", "4", "--out", str(out)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        (entry,) = json.loads(out.read_text())["compare"]
+        assert entry["t0_floor"] == "inf"
+        assert entry["warnings"] == [
+            "theory offset t0=inf implies vacuously small steps"]
+
+    def test_train_t0_auto_without_finite_offset_is_usage_error(
+            self, bundle_dir, tmp_path):
+        out = tmp_path / "t.csv"
+        res = run_cli(["train", "--data", str(bundle_dir), "--t0-auto",
+                       "--q", "1.001", "--T", "2", "--hidden", "4",
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert ("usage error: --t0-auto: the theory offset overflows, so no "
+                "finite t0 exists") in res.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,message", [
         ("--lr-c=nan", "inverse-time schedule needs c > 0"),
         ("--lr-c=inf", "c must be finite and >= 0"),

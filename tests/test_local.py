@@ -1,7 +1,8 @@
 """Steps on the row sets of the drawn nodes (``PropOps.row_sets``).
 
 The row sets of a node are the layers of its receptive ball: S_l holds the
-nodes within L - l hops, so S_0 is the L-hop ball.
+nodes within L - l hops, so S_0 is the L-hop ball.  A plan holds the sets
+from layer u = ``x_hops()`` up; gcnii (u = 0) keeps them all.
 """
 
 import collections
@@ -63,54 +64,57 @@ def dense(link):
     return block.toarray()
 
 
-def ring_ops():
-    return PropOps(normalized_adjacency(ring_graph()), make_spec("gcn", 2))
+def ring_ops(depth=6):
+    """Ring-graph ops of a gcnii spec, whose plans hold every layer."""
+    return PropOps(normalized_adjacency(ring_graph()),
+                   make_spec("gcnii", depth))
 
 
 class TestBall:
     def test_ring_ball_sizes(self):
-        sets, _ = ring_ops().row_sets(np.array([0]), 6)
+        sets, _ = ring_ops().row_sets(np.array([0]))
         for l, rows in enumerate(sets):
             hops = 6 - l
             expect = sorted({(k % RING) for k in range(-hops, hops + 1)})
             assert rows.tolist() == expect
 
     def test_ball_stops_growing_before_the_last_hop(self):
-        sets, _ = ring_ops().row_sets(np.array([RING + 1]), 6)
+        sets, _ = ring_ops().row_sets(np.array([RING + 1]))
         assert [rows.tolist() for rows in sets[:-1]] == [list(TRIANGLE)] * 6
         assert sets[-1].tolist() == [RING + 1]
 
     def test_isolated_node(self):
-        sets, links = ring_ops().row_sets(np.array([ISOLATED]), 6)
+        sets, links = ring_ops().row_sets(np.array([ISOLATED]))
         assert [rows.tolist() for rows in sets] == [[ISOLATED]] * 7
-        assert all(dense(link).tolist() == [[1.0]] for link in links)
+        assert links[0] is None
+        assert all(dense(link).tolist() == [[1.0]] for link in links[1:])
 
     def test_union_of_seeds(self):
-        sets, _ = ring_ops().row_sets(np.array([ISOLATED, 10, 10, RING + 1]),
-                                      1)
-        assert sets[1].tolist() == [10, RING + 1, ISOLATED]
-        assert sets[0].tolist() == [9, 10, 11, *TRIANGLE, ISOLATED]
+        sets, _ = ring_ops(2).row_sets(np.array([ISOLATED, 10, 10, RING + 1]))
+        assert sets[2].tolist() == [10, RING + 1, ISOLATED]
+        assert sets[1].tolist() == [9, 10, 11, *TRIANGLE, ISOLATED]
 
     def test_limit(self):
         # n/2 distinct drawn nodes stay a row set, n/2 + 1 are every node
         ops = ring_ops()
         half = ops.n // 2
-        top = ops.row_sets(np.arange(half).repeat(2), 0)[0][-1]
+        top = ops.row_sets(np.arange(half).repeat(2))[0][-1]
         assert top.tolist() == list(range(half))
-        assert ops.row_sets(np.arange(half + 1), 0)[0] == [ALL]
+        assert ops.row_sets(np.arange(half + 1))[0] == [ALL] * 7
         # a batch whose sets cover more than half the ring runs every layer
         # below its drawn nodes on the whole graph
-        sets, _ = ops.row_sets(np.arange(0, RING, 8), 6)
+        sets, _ = ops.row_sets(np.arange(0, RING, 8))
         assert sets[-1].size == 5 and sets[0] is ALL
-        assert ops.row_sets(None, 2) == ([ALL] * 3, [None] * 2)
+        assert ring_ops(2).row_sets(None) == ([ALL] * 3, [None] * 3)
 
     def test_links_keep_the_values_of_p(self):
-        ops = ring_ops()
+        ops = ring_ops(3)
         p = ops.p.to_scipy().toarray()
-        sets, links = ops.row_sets(np.array([0, RING + 1]), 3)
-        for l, link in enumerate(links, start=1):
+        sets, links = ops.row_sets(np.array([0, RING + 1]))
+        assert len(links) == 4 and links[0] is None
+        for l in range(1, 4):
             expect = p[sets[l]][:, sets[l - 1]]
-            assert np.array_equal(dense(link), expect)
+            assert np.array_equal(dense(links[l]), expect)
         # a set below that holds more than half the nodes keeps every column
         below, link = ops.row_link(np.arange(0, RING, 2))
         assert below is ALL
@@ -127,7 +131,8 @@ class TestRestrict:
         # ring nodes, the triangle (sets stop growing) and the isolated node
         for i in (0, 7, RING - 1, RING, RING + 2, ISOLATED):
             cache = forward(spec, ops, x, w, np.array([i]))
-            assert all(rows.size < ops.n / 2 for rows in cache.sets)
+            assert all(rows.size < ops.n / 2 for rows in cache.sets
+                       if rows is not None)
             assert cache.logits.shape == (1, spec.num_classes)
             assert rel_err(cache.logits[0], full.logits[i]) <= 1e-12
             label = int(labels[i])
@@ -158,12 +163,18 @@ class TestRestrict:
             grad_sample(spec, ops, x, w, 13, int(labels[13]), cache=cache)
 
     def test_ball_depth_follows_the_architecture(self):
+        # the lowest set kept, S_u with u = x_hops(), is the (L - u)-hop ball
         sizes = {}
         for arch, depth in LOCAL_ARCHS:
-            _, ops, _, _, _ = instance(arch, depth)
-            sets, _ = ops.row_sets(np.array([5]), ops.spec.receptive_hops())
-            sizes[(arch, depth)] = sets[0].size
-        assert sizes == {("gcn", 2): 5, ("gcn", 6): 13, ("sgc", 2): 5,
+            spec, ops, _, _, _ = instance(arch, depth)
+            u = spec.x_hops()
+            sets, _ = ops.row_sets(np.array([5]))
+            hops = spec.receptive_hops() - u
+            assert sets[:u] == [None] * u
+            assert sets[u].tolist() == sorted(
+                {(5 + k) % RING for k in range(-hops, hops + 1)})
+            sizes[(arch, depth)] = sets[u].size
+        assert sizes == {("gcn", 2): 3, ("gcn", 6): 11, ("sgc", 2): 1,
                          ("gcnii", 2): 5, ("gcnii", 6): 13}
 
     @pytest.mark.parametrize("arch", ["appnp", "gprgnn"])
@@ -181,8 +192,10 @@ class TestRestrict:
         spec, ops, x, labels, w = instance(arch, depth, ring=3)
         assert ops.n == 7
         cache = forward(spec, ops, x, w, np.array([6]))
-        assert [rows.tolist() for rows in cache.sets] == [[6]] * (
-            spec.receptive_hops() + 1)
+        u = spec.x_hops()
+        assert cache.sets[:u] == [None] * u
+        assert [rows.tolist() for rows in cache.sets[u:]] == [[6]] * (
+            spec.receptive_hops() + 1 - u)
         full = forward(spec, ops, x, w)
         assert rel_err(cache.logits[0], full.logits[6]) <= 1e-12
         g_rows = grad_sample(spec, ops, x, w, 6, int(labels[6]), cache=cache)
@@ -195,16 +208,16 @@ class TestRestrict:
         n = 40
         for leaves, local in ((n // 2 - 1, True), (n // 2, False)):
             star = build_graph([(0, k) for k in range(1, leaves + 1)], n)
-            ops = PropOps(normalized_adjacency(star), make_spec("gcn", 2))
-            sets, links = ops.row_sets(np.array([0]), 2)
+            ops = PropOps(normalized_adjacency(star), make_spec("gcnii", 2))
+            sets, links = ops.row_sets(np.array([0]))
             assert sets[-1].tolist() == [0]
             if local:
                 assert [rows.tolist() for rows in sets[:2]] == [
                     list(range(n // 2))] * 2
             else:
                 assert sets[:2] == [ALL, ALL]
-                assert links[0] is None and links[1][0].shape == (1, n)
-            sets, _ = ops.row_sets(np.array([n - 1]), 2)
+                assert links[1] is None and links[2][0].shape == (1, n)
+            sets, _ = ops.row_sets(np.array([n - 1]))
             assert [rows.tolist() for rows in sets] == [[n - 1]] * 3
 
 
@@ -309,8 +322,7 @@ class TestStepProducts:
         step(spec, ops, x, labels, w, np.array([3]))
         calls = counted(monkeypatch)
         step(spec, ops, x, labels, w, np.array([12]))
-        assert calls["row_link"] == 2
-        assert set(calls) == {"row_link"}
+        assert not calls
 
     def test_gcn_step_makes_one_product_each_way(self, monkeypatch):
         spec, ops, x, labels, w = instance("gcn", 2)
@@ -319,6 +331,21 @@ class TestStepProducts:
         step(spec, ops, x, labels, w, np.array([12]))
         assert calls["forward"] == 1 and calls["transposed"] == 1
         assert calls["whole"] == 0 and calls["x_products"] == 0
+
+    @pytest.mark.parametrize("arch,depth,linked", [
+        ("gcn", 2, 1), ("gcn", 6, 5), ("sgc", 2, 0), ("gcnii", 2, 2),
+        ("gcnii", 6, 6)])
+    def test_new_node_plan_builds_only_linked_layers(self, arch, depth,
+                                                     linked, monkeypatch):
+        # layers up to x_hops() read products of X: their sets and links
+        # are never built
+        spec, ops, x, labels, w = instance(arch, depth)
+        step(spec, ops, x, labels, w, np.array([3]))
+        calls = counted(monkeypatch)
+        for i in (12, RING + 1, ISOLATED):
+            calls.clear()
+            step(spec, ops, x, labels, w, np.array([i]))
+            assert calls["row_link"] == linked
 
     @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
     def test_second_step_on_a_node_builds_no_link(self, arch, depth,
@@ -393,17 +420,17 @@ class TestPlanMemo:
         roomy = PropOps(ops.p, spec)
         roomy.plan_room = 10 ** 9
         assert ops.plan_room == spec.receptive_hops() * ops.n * spec.h
-        hops, unlinked = spec.receptive_hops(), spec.x_hops()
+        if arch == "sgc":  # a plan is its one drawn node: L n h never fills
+            ops.plan_room = ops.n // 2
         kept = []
         for i in range(ops.n):
             picks = np.array([i])
             _, (g,) = step(spec, ops, x, labels, w, picks)
             _, (g_roomy,) = step(spec, roomy, x, labels, w, picks)
             assert g.tobytes() == g_roomy.tobytes()
-            plan = ops.row_sets(picks, hops, unlinked)
-            kept.append(ops.row_sets(picks, hops, unlinked) is plan)
+            plan = ops.row_sets(picks)
+            kept.append(ops.row_sets(picks) is plan)
             assert ops.plan_entries <= ops.plan_room
         assert any(kept) and not all(kept)
-        assert all(roomy.row_sets(np.array([i]), hops, unlinked)
-                   is roomy.row_sets(np.array([i]), hops, unlinked)
-                   for i in range(ops.n))
+        assert all(roomy.row_sets(np.array([i])) is roomy.row_sets(
+            np.array([i])) for i in range(ops.n))

@@ -202,6 +202,12 @@ class TestScheduleOffset:
         with pytest.raises(ValueError):
             schedule_offset(1.0, 0.0)
 
+    def test_overflowing_power_is_inf(self):
+        assert schedule_offset(2.0, 1e-300) == np.inf
+        assert schedule_offset(2.0, 1e-300, mu=4.0) == np.inf
+        with pytest.raises(ValueError, match="mu"):
+            schedule_offset(2.0, 1e-300, mu=0.0)
+
 
 class TestTraceCsv:
     def test_round_trip(self):
