@@ -151,17 +151,23 @@ def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
     meta_path = root / "meta.json"
     if not meta_path.exists():
         raise BundleFormatError(f"missing file: {meta_path}")
+    keys = ("n", "d", "num_classes")
     try:
         meta = json.loads(meta_path.read_text())
-        n, d = int(meta["n"]), int(meta["d"])
-        num_classes, name = int(meta["num_classes"]), str(meta["name"])
+        sizes, name = [meta[key] for key in keys], str(meta["name"])
     except KeyError as exc:
         raise BundleFormatError(f"{meta_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise BundleFormatError(f"{meta_path}: {exc}") from None
-    if n < 1:
-        raise BundleFormatError(f"{meta_path}: n must be >= 1, got {n}")
-    graph = _read_edges(root / "edges.tsv", n)
+    for key, size in zip(keys, sizes):
+        if type(size) is not int:  # bool is an int subclass
+            raise BundleFormatError(f"{meta_path}: {key} must be an integer, "
+                                    f"got {json.dumps(size)}")
+        if size < 1:
+            raise BundleFormatError(f"{meta_path}: {key} must be >= 1, "
+                                    f"got {size}")
+    n, d, num_classes = sizes
+    # features.csv bounds n before the graph allocates n-sized arrays
     x = _load_table(root / "features.csv", np.float64, delimiter=",", ndmin=2)
     if x.shape != (n, d):
         raise BundleFormatError(
@@ -170,6 +176,7 @@ def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
     if not finite.all():
         raise BundleFormatError(f"{root / 'features.csv'}: non-finite value "
                                 f"for node {int(np.argmin(finite))}")
+    graph = _read_edges(root / "edges.tsv", n)
     labels = _load_table(root / "labels.csv", np.int64, ndmin=1)
     if labels.shape != (n,):
         raise BundleFormatError(f"labels.csv has {labels.shape[0]} rows, need {n}")

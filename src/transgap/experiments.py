@@ -261,18 +261,13 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig,
     """All (model, seed) runs, optional trace/curve emission to out_dir."""
     jobs = [(model, seed) for model in config.models for seed in config.seeds]
     workers = pool_size()
-    results: dict[tuple[str, int], RunResult] = {}
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_worker,
-                                [(bundle, config, m, s) for m, s in jobs]):
-                results[(res.model, res.seed)] = res
+            runs = list(pool.map(_worker,
+                                 [(bundle, config, m, s) for m, s in jobs]))
     else:
-        for model, seed in jobs:
-            results[(model, seed)] = run_single(bundle, config, model, seed)
-    report = GapReport(config=config)
-    for model, seed in jobs:
-        report.runs.append(results[(model, seed)])
+        runs = [run_single(bundle, config, m, s) for m, s in jobs]
+    report = GapReport(config=config, runs=runs)
 
     if out_dir is not None:
         root = Path(out_dir)

@@ -1,13 +1,14 @@
 """Analytic per-sample gradients, batched mean gradients, and an FD oracle.
 
 ``_backward`` is each architecture's one backward pass from the logit
-errors of a set of rows.  ``grad_mean`` runs it on every row, with the
-errors of an index multiset, to get the mean (or any weighted sum) of
-per-sample gradients.  ``grad_sample`` returns the exact gradient of one
-node's cross-entropy: for gcn, sgc and gcnii it runs ``_backward`` on that
-node's error row, back through the transposed links of the node's plan
-(``PropOps.row_sets``, built once per node); appnp and gprgnn read one row
-of their filter, which feeds the same MLP backward.
+errors of a set of rows; for gcn, sgc and gcnii it is one top-down walk
+over the layers of a plan (``PropOps.row_sets``), readout first.
+``grad_mean`` runs it on the plan of every node, with the errors of an
+index multiset, to get the mean (or any weighted sum) of per-sample
+gradients.  ``grad_sample`` returns the exact gradient of one node's
+cross-entropy: gcn, sgc and gcnii run ``_backward`` on that node's error
+row, down the node's own plan (built once per node); appnp and gprgnn
+read one row of their filter, which feeds the same MLP backward.
 ``fd_gradient`` is the independent central-difference oracle used by the
 test suite and the gradcheck command.
 """
@@ -104,15 +105,13 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
         return positions(cache.sets[l], sets[l])
 
     if spec.arch == "gcn":
-        layout.view(g, f"W{depth}")[...] = cache.z_last[at(depth)].T @ err
-        dh = ops.propagate_link(links[depth], err @ mats[f"W{depth}"].T,
-                                transpose=True)
-        for l in range(depth - 1, 0, -1):
-            dpre = dh * act_deriv(act, cache.pres[l - 1][at(l)])
+        dpre = err  # the error at layer l's output, on S_l
+        for l in range(depth, 0, -1):
             layout.view(g, f"W{l}")[...] = cache.zs[l - 1][at(l)].T @ dpre
             if l > 1:
                 dh = ops.propagate_link(links[l], dpre @ mats[f"W{l}"].T,
                                         transpose=True)
+                dpre = dh * act_deriv(act, cache.pres[l - 2][at(l - 1)])
     elif spec.arch == "sgc":
         layout.view(g, "W2")[...] = cache.zw1[at(2)].T @ err
         layout.view(g, "W1")[...] = cache.z[at(2)].T @ (err @ mats["W2"].T)
@@ -120,21 +119,18 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
         layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth][at(depth)].T @ err
         dh = err @ mats[f"W{depth + 1}"].T
-        dh0 = 0.0  # the error at H0, on the current row set
+        x0 = x[sets[0]]
+        dh0 = np.zeros((x0.shape[0], spec.h))  # the error at H0, on S_0
         for l in range(depth, 0, -1):
             dpre = dh * act_deriv(act, cache.pres[l][at(l)])
             layout.view(g, f"W{l}")[...] = betas[l - 1] * (
                 cache.aggs[l - 1][at(l)].T @ dpre)
             dm = dpre @ cache.psis[l - 1].T
-            dh0 = dh0 + alphas[l - 1] * dm
-            dh = ops.propagate_link(links[l], dm, transpose=True)
-            if sets[l - 1] is not sets[l]:
-                lifted = np.zeros(dh.shape)
-                lifted[positions(sets[l - 1], sets[l])] = dh0
-                dh0 = lifted
-            dh = (1.0 - alphas[l - 1]) * dh
+            dh0[positions(sets[0], sets[l])] += alphas[l - 1] * dm
+            dh = (1.0 - alphas[l - 1]) * ops.propagate_link(
+                links[l], dm, transpose=True)
         dh0 += dh
-        layout.view(g, "W0")[...] = x[sets[0]].T @ (
+        layout.view(g, "W0")[...] = x0.T @ (
             dh0 * act_deriv(act, cache.pres[0][at(0)]))
 
 

@@ -6,13 +6,13 @@ its dimensions, a flat float64 parameter vector with a fixed column-major
 intermediate the analytic gradients need.  gcn, sgc and gcnii run layer l
 on a row set S_l (``PropOps.row_sets``): S_L holds the nodes whose logits
 are asked for, S_{l-1} the rows that P[S_l, :] reads, and a set that holds
-more than half the nodes is every node.  A ``PropOps`` keeps what a step
-computes that does not depend on w: the row sets and sparse blocks of each
-drawn node, and the products P X and P^2 X that gcn's and sgc's first
-layer read (``PropOps.x_products``).  appnp and gprgnn compute their
-node-wise MLP on every node and return a ``FilterCache``, which forms the
-whole-graph filter product (a weighted ``gpr_powers`` stack) on the first
-read of logits.
+more than half the nodes is every node.  A ``PropOps`` keeps what a
+forward computes that does not depend on w: the row sets and sparse blocks
+of each drawn node, and the products P X and P^2 X that the first layer of
+every gcn and sgc forward reads (``PropOps.x_products``).  appnp and
+gprgnn compute their node-wise MLP on every node and return a
+``FilterCache``, which forms the whole-graph filter product (a weighted
+``gpr_powers`` stack) on the first read of logits.
 
 Architectures (P is the normalized adjacency, sigma the smoothed ReLU):
 
@@ -243,11 +243,15 @@ class PropOps:
     def propagate(self, m: np.ndarray) -> np.ndarray:
         return self._csr @ m
 
-    def x_products(self, x: np.ndarray) -> np.ndarray:
-        """The stack [X, P X, ..., P^k X], k = ``spec.x_hops()``, of the X
-        last given; a new array (by identity) rebuilds it."""
+    def x_products(self, x: np.ndarray) -> list[np.ndarray]:
+        """[X, P X, ..., P^u X], u = ``spec.x_hops()``, of the X last given,
+        built by ``propagate``; a new array (by identity) rebuilds it.  The
+        first layer of every forward reads the last entry."""
         if x is not self._x:
-            self._x, self._xp = x, gpr_powers(self.p, x, self.spec.x_hops())
+            xp = [x]
+            for _ in range(self.spec.x_hops()):
+                xp.append(self.propagate(xp[-1]))
+            self._x, self._xp = x, xp
         return self._xp
 
     def appnp_row(self, i: int) -> np.ndarray:
@@ -344,8 +348,8 @@ class ForwardCache:
     """All intermediates the backward pass reads, plus logits; the row
     softmax ``probs`` is formed on first read.  gcn, sgc and gcnii keep
     the ``sets`` and ``links`` of ``PropOps.row_sets``: layer l's arrays
-    hold the rows of ``sets[l]``, and gcn's and sgc's first layer reads
-    its rows of ``PropOps.x_products``."""
+    hold the rows of ``sets[l]``, the first layer reads its rows of
+    ``PropOps.x_products``, and gcn's ``zs`` are the L layer inputs."""
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
@@ -438,24 +442,22 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             pre2=pre2, h=h, sp2=act_deriv(act, pre2))
 
     sets, links = ops.row_sets(rows)
+    z = ops.x_products(x)[-1][sets[spec.x_hops()]]
     if spec.arch == "gcn":
-        zs, pres = [], []
-        z = _x_rows(ops, x, rows, sets)
+        zs, pres = [z], []
         for l in range(1, spec.depth):
-            pre = z @ mats[f"W{l}"]
-            zs.append(z)
+            pre = zs[-1] @ mats[f"W{l}"]
             pres.append(pre)
-            z = ops.propagate_link(links[l + 1], act_eval(act, pre))
-        logits = z @ mats[f"W{spec.depth}"]
-        cache = ForwardCache(zs=zs, pres=pres, z_last=z)
+            zs.append(ops.propagate_link(links[l + 1], act_eval(act, pre)))
+        logits = zs[-1] @ mats[f"W{spec.depth}"]
+        cache = ForwardCache(zs=zs, pres=pres)
     elif spec.arch == "sgc":
-        z = _x_rows(ops, x, rows, sets)
         zw1 = z @ mats["W1"]
         logits = zw1 @ mats["W2"]
         cache = ForwardCache(z=z, zw1=zw1)
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-        pre0 = x[sets[0]] @ mats["W0"]
+        pre0 = z @ mats["W0"]
         h0 = act_eval(act, pre0)
         hs, pres, aggs, psis = [h0], [pre0], [], []
         h = h0
@@ -480,19 +482,6 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     cache.logits = logits
     cache.sets, cache.links = sets, links
     return cache
-
-
-def _x_rows(ops: PropOps, x: np.ndarray, rows, sets: list) -> np.ndarray:
-    """(P^k X)[S_k], k = ``spec.x_hops()``: read from ``ops.x_products``
-    for a forward on the row sets of ``rows``.  A whole-graph forward
-    (``rows`` None) is not a step and multiplies X itself, so only a
-    ``PropOps`` that takes steps holds the products."""
-    k = ops.spec.x_hops()
-    if rows is not None:
-        return ops.x_products(x)[k][sets[k]]
-    for _ in range(k):
-        x = ops.propagate(x)
-    return x
 
 
 def node_loss(cache: ForwardCache, i: int, label: int) -> float:

@@ -217,6 +217,50 @@ class TestExitCodes:
                 in res.stderr)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,token,problem", [
+        ("n", "24.9", "must be an integer, got 24.9"),
+        ("num_classes", "2.5", "must be an integer, got 2.5"),
+        ("n", '"24"', 'must be an integer, got "24"'),
+        ("n", "true", "must be an integer, got true"),
+        ("num_classes", "0", "must be >= 1, got 0"),
+        ("d", "0", "must be >= 1, got 0"),
+        ("n", "1e400", "must be an integer, got Infinity"),
+    ])
+    def test_meta_size_that_is_no_positive_integer_is_data_error(
+            self, key, token, problem, bundle_dir, tmp_path):
+        import shutil
+
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, data)
+        sizes = {"n": "24", "d": "4", "num_classes": "2", key: token}
+        (data / "meta.json").write_text(
+            "{" + ", ".join(f'"{k}": {v}' for k, v in sizes.items())
+            + ', "name": "x"}')
+        out = tmp_path / "t.csv"
+        res = run_cli(["train", "--data", str(data), "--T", "2",
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert (f"data error: {data / 'meta.json'}: {key} {problem}"
+                in res.stderr)
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_meta_n_beyond_the_tables_is_data_error(self, bundle_dir,
+                                                    tmp_path):
+        # checked against features.csv before any n-sized array exists
+        import shutil
+
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, data)
+        (data / "meta.json").write_text(json.dumps(
+            {"n": 10 ** 15, "d": 4, "num_classes": 2, "name": "x"}))
+        res = run_cli(["train", "--data", str(data), "--T", "2",
+                       "--out", str(tmp_path / "t.csv")], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert ("data error: features.csv has shape (24, 4), meta says "
+                "(1000000000000000, 4)" in res.stderr)
+        assert "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("flag", ["--q=1.001", "--alpha-rate=1e-300"])
     def test_analyze_overflowing_theory_offset_is_inf(self, flag, bundle_dir,
                                                       tmp_path):

@@ -10,7 +10,6 @@ import collections
 import numpy as np
 import pytest
 
-from transgap import models
 from transgap.activations import ActivationSpec
 from transgap.datasets import Split
 from transgap.gradients import grad_mean, grad_sample
@@ -225,6 +224,7 @@ class TestLocality:
     @pytest.mark.parametrize("arch", ["gcn", "sgc", "gcnii"])
     def test_step_reads_no_whole_graph_product(self, arch, monkeypatch):
         spec, ops, x, labels, w = instance(arch, 2)
+        ops.x_products(x)  # built once per X, through propagate
 
         def whole_graph(self, m):
             raise AssertionError("whole-graph product in a row-set step")
@@ -234,8 +234,10 @@ class TestLocality:
             cache = forward(spec, ops, x, w, np.array([i]))
             grad_sample(spec, ops, x, w, i, int(labels[i]), cache=cache)
             grad_sample(spec, ops, x, w, i, int(labels[i]))
+        # sgc's whole-graph forward makes no product once X's are held
+        control = PropOps(ops.p, spec) if arch == "sgc" else ops
         with pytest.raises(AssertionError, match="whole-graph"):
-            forward(spec, ops, x, w)
+            forward(spec, control, x, w)
 
 
 def whole_graph_sgd(spec, ops, x, labels, split, config):
@@ -287,8 +289,9 @@ class TestRunSgdOnBalls:
 
 
 def counted(monkeypatch):
-    """Count whole-graph products, link products (forward and transposed),
-    ``row_link`` calls and builds of the X products from here on."""
+    """Count whole-graph products (builds of the X products among them),
+    link products (forward and transposed) and ``row_link`` calls from
+    here on."""
     calls = collections.Counter()
 
     def wrap(owner, name, key):
@@ -305,7 +308,6 @@ def counted(monkeypatch):
         "transposed" if kw.get("transpose", len(a) > 3 and a[3])
         else "forward"))
     wrap(PropOps, "row_link", lambda a, kw: "row_link")
-    wrap(models, "gpr_powers", lambda a, kw: "x_products")
     return calls
 
 
@@ -330,7 +332,7 @@ class TestStepProducts:
         calls = counted(monkeypatch)
         step(spec, ops, x, labels, w, np.array([12]))
         assert calls["forward"] == 1 and calls["transposed"] == 1
-        assert calls["whole"] == 0 and calls["x_products"] == 0
+        assert calls["whole"] == 0
 
     @pytest.mark.parametrize("arch,depth,linked", [
         ("gcn", 2, 1), ("gcn", 6, 5), ("sgc", 2, 0), ("gcnii", 2, 2),
@@ -360,7 +362,21 @@ class TestStepProducts:
             step(spec, ops, x, labels, w, np.array([i]))
             # a gradient from a whole-graph forward, as the analyze scan takes
             grad_sample(spec, ops, x, w, i, int(labels[i]), cache=full)
-        assert calls["row_link"] == 0 and calls["x_products"] == 0
+        assert calls["row_link"] == 0 and calls["whole"] == 0
+
+    @pytest.mark.parametrize("arch,depth,layers", [
+        ("gcn", 2, 1), ("gcn", 6, 5), ("sgc", 2, 0), ("gcnii", 2, 2),
+        ("gcnii", 6, 6)])
+    def test_whole_graph_forward_reads_the_x_products(self, arch, depth,
+                                                      layers, monkeypatch):
+        # a checkpoint forward multiplies only its layers, not X again
+        spec, ops, x, labels, w = instance(arch, depth)
+        ops.x_products(x)
+        fresh = forward(spec, PropOps(ops.p, spec), x, w).logits
+        calls = counted(monkeypatch)
+        logits = forward(spec, ops, x, w).logits
+        assert calls["whole"] == layers
+        assert logits.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("arch", ["gcn", "sgc"])
     def test_a_new_x_gets_its_own_products(self, arch):

@@ -183,7 +183,7 @@ class TestForwardClosedForms:
         np.testing.assert_allclose(cache.zs[0], third, atol=1e-15)
         np.testing.assert_allclose(act_eval(Q2, cache.pres[0]), third ** 2,
                                    atol=1e-15)
-        np.testing.assert_allclose(cache.z_last, third ** 2, atol=1e-15)
+        np.testing.assert_allclose(cache.zs[-1], third ** 2, atol=1e-15)
         np.testing.assert_allclose(cache.probs, 1 / 3, atol=1e-15)
         assert node_loss(cache, 0, 0) == pytest.approx(np.log(3.0))
 
