@@ -367,6 +367,9 @@ def cmd_analyze(args) -> int:
     for flag, value in (("--radius", args.radius), ("--cw", args.cw)):
         if value is not None and not value >= 0.0:
             raise UsageError(f"{flag} must be nonnegative")
+    if args.cw == 0.0:
+        raise UsageError("--cw 0 bounds only all-zero weights, and gcnii's "
+                         "constants divide by c_W; pin a positive value")
     if args.mu is not None and not 0.0 < args.mu < math.inf:
         raise UsageError("--mu must be positive and finite")
     bundle = load_bundle(args.data, args.row_normalize)

@@ -368,6 +368,16 @@ class ConstantsReport:
         return d
 
 
+def _inf_on_overflow(constant, inf_result):
+    """``constant()``, or ``inf_result`` when a float power in it overflows
+    (a huge pinned c_W): such a constant is reported as infinite instead
+    of raising ``OverflowError``."""
+    try:
+        return constant()
+    except OverflowError:
+        return inf_result
+
+
 def constants_report(spec: ModelSpec, p: PropagationMatrix, x: np.ndarray,
                      w: np.ndarray, stats=None,
                      c_w_override: float | None = None) -> ConstantsReport:
@@ -378,15 +388,18 @@ def constants_report(spec: ModelSpec, p: PropagationMatrix, x: np.ndarray,
            else compute_cw(w, layout))
     gamma = layout.view(w, "gamma") if spec.arch == "gprgnn" else None
     norms = measure_norms(spec, p, gamma=gamma)
-    lip = loss_lipschitz(spec, c_x, c_w, norms)
-    smooth = gradient_smoothness(spec, c_x, c_w, norms)
+    lip = _inf_on_overflow(lambda: loss_lipschitz(spec, c_x, c_w, norms),
+                           LipschitzResult(math.inf))
+    p_f = _inf_on_overflow(
+        lambda: gradient_smoothness(spec, c_x, c_w, norms).value, math.inf)
     db = degree_bound(stats) if stats is not None else float("nan")
     zero = None
     if spec.arch == "gcnii":
         corner = replace(spec, alpha1=0.0, alpha2=0.0, beta1=0.0, beta2=0.0)
-        zero = loss_lipschitz(corner, c_x, c_w, norms).value
+        zero = _inf_on_overflow(
+            lambda: loss_lipschitz(corner, c_x, c_w, norms).value, math.inf)
     return ConstantsReport(c_x=c_x, c_w=c_w, norms=norms, l_f=lip.value,
-                           p_f=smooth.value,
+                           p_f=p_f,
                            alpha_tilde=spec.activation.alpha_tilde,
                            degree_bound_value=db,
                            lipschitz_parts=lip.parts,

@@ -76,7 +76,8 @@ def _mlp_backward(x, cache, layout, mats, g, dpre2):
     """W2 and W1 blocks of the node-wise MLP of appnp / gprgnn from the
     error at its output pre-activation."""
     layout.view(g, "W2")[...] = cache.s1.T @ dpre2
-    dpre1 = (dpre2 @ mats["W2"].T) * cache.sp1
+    dpre1 = dpre2 @ mats["W2"].T
+    dpre1 *= cache.sp1
     layout.view(g, "W1")[...] = x.T @ dpre1
 
 
@@ -97,7 +98,8 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
             gg[...] = [np.sum(err * hop) for hop in cache.stack]
         dstack = gpr_powers(ops.p, err, spec.big_k)
         dh = np.tensordot(cache.gamma, dstack, axes=(0, 0))
-        _mlp_backward(x, cache, layout, mats, g, dh * cache.sp2)
+        dh *= cache.sp2
+        _mlp_backward(x, cache, layout, mats, g, dh)
         return
     sets, links = plan or (cache.sets, cache.links)
 
@@ -109,29 +111,31 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
         for l in range(depth, 0, -1):
             layout.view(g, f"W{l}")[...] = cache.zs[l - 1][at(l)].T @ dpre
             if l > 1:
-                dh = ops.propagate_link(links[l], dpre @ mats[f"W{l}"].T,
-                                        transpose=True)
-                dpre = dh * act_deriv(act, cache.pres[l - 2][at(l - 1)])
+                dpre = ops.propagate_link(links[l], dpre @ mats[f"W{l}"].T,
+                                          transpose=True)
+                dpre *= act_deriv(act, cache.pres[l - 2][at(l - 1)])
     elif spec.arch == "sgc":
         layout.view(g, "W2")[...] = cache.zw1[at(2)].T @ err
         layout.view(g, "W1")[...] = cache.z[at(2)].T @ (err @ mats["W2"].T)
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-        layout.view(g, f"W{depth + 1}")[...] = cache.hs[depth][at(depth)].T @ err
+        layout.view(g, f"W{depth + 1}")[...] = cache.h_top[at(depth)].T @ err
         dh = err @ mats[f"W{depth + 1}"].T
         x0 = x[sets[0]]
         dh0 = np.zeros((x0.shape[0], spec.h))  # the error at H0, on S_0
+        # One array carries the error down, updated in place where it can:
+        # the error at H_l, then at pre_l, then at the aggregate of layer l.
         for l in range(depth, 0, -1):
-            dpre = dh * act_deriv(act, cache.pres[l][at(l)])
+            dh *= act_deriv(act, cache.pres[l][at(l)])
             layout.view(g, f"W{l}")[...] = betas[l - 1] * (
-                cache.aggs[l - 1][at(l)].T @ dpre)
-            dm = dpre @ cache.psis[l - 1].T
-            dh0[positions(sets[0], sets[l])] += alphas[l - 1] * dm
-            dh = (1.0 - alphas[l - 1]) * ops.propagate_link(
-                links[l], dm, transpose=True)
+                cache.aggs[l - 1][at(l)].T @ dh)
+            dh = dh @ cache.psis[l - 1].T
+            dh0[positions(sets[0], sets[l])] += alphas[l - 1] * dh
+            dh = ops.propagate_link(links[l], dh, transpose=True)
+            dh *= 1.0 - alphas[l - 1]
         dh0 += dh
-        layout.view(g, "W0")[...] = x0.T @ (
-            dh0 * act_deriv(act, cache.pres[0][at(0)]))
+        dh0 *= act_deriv(act, cache.pres[0][at(0)])
+        layout.view(g, "W0")[...] = x0.T @ dh0
 
 
 def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,

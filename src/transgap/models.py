@@ -229,9 +229,9 @@ class PropOps:
             if p.n <= FILTER_MATERIALIZE_LIMIT:
                 self.filter = appnp_filter(p, spec.gamma, spec.big_k)
         self._plans: dict = {}
-        # Set members and link nonzeros the kept plans may hold: as many as
-        # the L hidden n x h arrays of a whole-graph forward, so memory stays
-        # linear in n.
+        # Set members and link nonzeros the kept plans may hold: L n x h
+        # arrays' worth, no more than the hidden arrays a whole-graph
+        # forward keeps, so memory stays linear in n.
         self.plan_room = (spec.receptive_hops() or 0) * p.n * spec.h
         self.plan_entries = 0
         self._x = self._xp = None
@@ -345,11 +345,15 @@ def positions(held, rows):
 
 
 class ForwardCache:
-    """All intermediates the backward pass reads, plus logits; the row
-    softmax ``probs`` is formed on first read.  gcn, sgc and gcnii keep
-    the ``sets`` and ``links`` of ``PropOps.row_sets``: layer l's arrays
-    hold the rows of ``sets[l]``, the first layer reads its rows of
-    ``PropOps.x_products``, and gcn's ``zs`` are the L layer inputs."""
+    """The intermediates the backward pass reads, plus logits; the row
+    softmax ``probs`` is formed on first read.  gcn, sgc and gcnii also
+    keep the ``sets`` and ``links`` of ``PropOps.row_sets``, and nothing
+    more: layer l's arrays hold the rows of ``sets[l]``, and the first
+    layer reads its rows of ``PropOps.x_products``.  gcn keeps its L layer
+    inputs ``zs`` and L - 1 pre-activations ``pres``; sgc ``z`` and
+    ``zw1``; gcnii its L + 1 pre-activations ``pres``, L aggregates
+    ``aggs`` and mixing matrices ``psis``, and of its hidden states only
+    the top one, ``h_top``."""
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
@@ -458,9 +462,8 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
         pre0 = z @ mats["W0"]
-        h0 = act_eval(act, pre0)
-        hs, pres, aggs, psis = [h0], [pre0], [], []
-        h = h0
+        h0 = h = act_eval(act, pre0)
+        pres, aggs, psis = [pre0], [], []
         for l in range(1, spec.depth + 1):
             a_l, b_l = alphas[l - 1], betas[l - 1]
             agg = ops.propagate_link(links[l], h)
@@ -474,9 +477,8 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             aggs.append(agg)
             psis.append(psi)
             pres.append(pre)
-            hs.append(h)
         logits = h @ mats[f"W{spec.depth + 1}"]
-        cache = ForwardCache(hs=hs, pres=pres, aggs=aggs, psis=psis)
+        cache = ForwardCache(h_top=h, pres=pres, aggs=aggs, psis=psis)
 
     _check_finite(logits, f"{spec.arch} logits")
     cache.logits = logits

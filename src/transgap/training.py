@@ -246,6 +246,7 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
                               cache=cache)
             gsum += g_j
             g_emp = max(g_emp, sqrt_eta * float(np.linalg.norm(g_j)))
+        del cache  # a checkpoint forward must not find it alive
         g = gsum / config.batch_size
         if config.weight_decay > 0.0:
             g = g + config.weight_decay * w
@@ -264,6 +265,7 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
                 raise FloatingPointError(
                     f"non-finite loss at step {t}: R_m={r_m}, R_u={r_u}")
             gap = gradient_gap(spec, ops, x, labels, split, w, cache=cache)
+            del cache  # nor may the next step's forward find this one
             trace.checkpoints.append(Checkpoint(
                 t=t, r_m=r_m, r_u=r_u, acc_m=acc_m, acc_u=acc_u,
                 grad_gap=gap, dist=dist, g_emp=g_emp))

@@ -73,6 +73,36 @@ class TestExitCodes:
         assert f"usage error: {flag} must be nonnegative" in res.stderr
         assert res.stdout == ""
 
+    def test_analyze_zero_cw_is_usage_error(self, bundle_dir, tmp_path):
+        # gcnii's smoothness table divides by c_W
+        res = run_cli(["analyze", "--data", str(bundle_dir), "--model",
+                       "gcnii", "--cw", "0", "--T", "2"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert ("usage error: --cw 0 bounds only all-zero weights, and "
+                "gcnii's constants divide by c_W; pin a positive value"
+                in res.stderr)
+        assert res.stdout == ""
+
+    def test_analyze_overflowing_cw_constants_are_inf(self, bundle_dir,
+                                                      tmp_path):
+        # powers of c_W leave float range: reported as inf, as --cw inf is
+        out = tmp_path / "a.json"
+        res = run_cli(["analyze", "--data", str(bundle_dir), "--compare",
+                       "--cw", "1e300", "--T", "2", "--hidden", "4",
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        entries = json.loads(out.read_text())["compare"]
+        assert sorted(e["model"] for e in entries) == [
+            "appnp", "gcn", "gcnii", "gprgnn", "sgc"]
+        for e in entries:
+            assert e["constants"]["c_W"] == 1e300
+            assert e["constants"]["P_F"] == "inf"
+            assert e["t0_floor"] == "inf"
+        l_f = {e["model"]: e["constants"]["L_F"] for e in entries}
+        assert [l_f[m] for m in ("appnp", "gcnii", "gprgnn")] == ["inf"] * 3
+        assert all(isinstance(l_f[m], float) for m in ("gcn", "sgc"))
+
     @pytest.mark.parametrize("command,name", [("analyze", "a.json"),
                                               ("train", "t.csv")])
     def test_out_in_missing_directory_is_created(self, command, name,

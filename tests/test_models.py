@@ -211,8 +211,9 @@ class TestForwardClosedForms:
         h0 = act_eval(Q2, bundle.x @ layout.view(w, "W0"))
         h1 = act_eval(Q2, dense @ h0 @ layout.view(w, "W1"))
         h2 = act_eval(Q2, dense @ h1 @ layout.view(w, "W2"))
-        np.testing.assert_allclose(cache.hs[1], h1, atol=1e-12)
-        np.testing.assert_allclose(cache.hs[2], h2, atol=1e-12)
+        # the forward keeps H_1 only as its pre-activation, and H_2 as the top
+        np.testing.assert_allclose(act_eval(Q2, cache.pres[1]), h1, atol=1e-12)
+        np.testing.assert_allclose(cache.h_top, h2, atol=1e-12)
         np.testing.assert_allclose(cache.logits, h2 @ layout.view(w, "W3"),
                                    atol=1e-12)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from transgap.activations import ActivationSpec
 from transgap.datasets import Split, make_split, sbm_bundle
 from transgap.gradients import grad_mean, grad_sample
 from transgap.graphs import build_graph, normalized_adjacency
-from transgap.models import ForwardCache, ModelSpec, PropOps, init_params
+from transgap.models import (ForwardCache, ModelSpec, PropOps, forward,
+                             init_params)
 from transgap.training import (LrSchedule, SgdConfig, TrainTrace, evaluate,
                                gradient_gap, run_sgd, schedule_offset)
 
@@ -217,3 +220,66 @@ class TestTraceCsv:
         back = TrainTrace.from_csv(trace.to_csv())
         assert back.to_csv() == trace.to_csv()
         assert [cp.t for cp in back.checkpoints] == [4, 8, 12]
+
+
+class TestCheckpointMemory:
+    """Traced peak memory of whole-graph passes on a 1000-node graph, in
+    units of one n x h float64 array.
+
+    A gcnii forward keeps its L + 1 pre-activations, L aggregates and the
+    top hidden state (2L + 2 arrays), and its backward adds at most three
+    more; gcn keeps L - 1 pre-activations and layer inputs, appnp its
+    three n x h MLP arrays.  Each bound leaves about one array for the
+    n x c and h x h arrays.
+    """
+
+    N, H = 1000, 64
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        bundle = sbm_bundle([self.N // 2] * 2, 0.01, 0.002, seed=3, d=16)
+        return (normalized_adjacency(bundle.graph), bundle.x, bundle.labels,
+                make_split(bundle.n, 0.3, seed=0))
+
+    def traced_peak(self, run) -> float:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / (self.N * self.H * 8)
+
+    def setup_run(self, graph, **kw):
+        p, x, labels, split = graph
+        spec = ModelSpec(d=x.shape[1], h=self.H, num_classes=2,
+                         activation=Q2, **kw)
+        ops = PropOps(p, spec)
+        ops.x_products(x)
+        return spec, ops, x, labels, split, init_params(spec, 1)
+
+    @pytest.mark.parametrize("kw,bound", [
+        (dict(arch="gcnii"), 10.5),
+        (dict(arch="gcnii", depth=6), 19.0),
+        (dict(arch="gcn"), 5.0),
+        (dict(arch="appnp"), 6.0),
+    ], ids=["gcnii", "gcnii6", "gcn", "appnp"])
+    def test_checkpoint_peak(self, graph, kw, bound):
+        spec, ops, x, labels, split, w = self.setup_run(graph, **kw)
+
+        def checkpoint():
+            cache = forward(spec, ops, x, w)
+            evaluate(spec, ops, x, labels, split, w, cache=cache)
+            gradient_gap(spec, ops, x, labels, split, w, cache=cache)
+
+        assert self.traced_peak(checkpoint) < bound
+
+    def test_run_sgd_holds_no_step_cache_at_a_checkpoint(self, graph):
+        # appnp's step cache holds three n x h arrays, as its checkpoint
+        # does: the bound leaves no room for both at once
+        spec, ops, x, labels, split, _ = self.setup_run(graph, arch="appnp")
+        cfg = SgdConfig(big_t=4, seed=0, eval_every=1,
+                        schedule=LrSchedule(c=1.0, t0=10.0))
+        assert self.traced_peak(
+            lambda: run_sgd(spec, ops, x, labels, split, cfg)) < 6.0
