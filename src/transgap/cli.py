@@ -446,17 +446,19 @@ def gradcheck_instance(model: str, args, inst: int):
             continue
         if args.q >= 1.5:
             break
-        closest = min(float(np.min(np.abs(arr))) for arr in _preacts(spec, cache))
+        closest = min(float(np.min(np.abs(arr)))
+                      for arr in _preacts(spec, x, w, cache))
         if closest > 1e-4:
             break
     return spec, ops, x, w, node, int(labels[node])
 
 
-def _preacts(spec, cache):
+def _preacts(spec, x, w, cache):
     if spec.arch == "sgc":
         return [np.zeros(1) + 1.0]
-    if spec.arch in ("appnp", "gprgnn"):
-        return [cache.pre1, cache.pre2]
+    if spec.arch in ("appnp", "gprgnn"):  # the forward keeps no pre-activation
+        mats = layout_for(spec).matrices(w)
+        return [x @ mats["W1"], cache.s1 @ mats["W2"]]
     return cache.pres
 
 

@@ -368,10 +368,14 @@ class ConstantsReport:
         return d
 
 
-def _inf_on_overflow(constant, inf_result):
+def _inf_on_overflow(constant, inf_result, c_w: float):
     """``constant()``, or ``inf_result`` when a float power in it overflows
     (a huge pinned c_W): such a constant is reported as infinite instead
-    of raising ``OverflowError``."""
+    of raising ``OverflowError``.  A pinned c_W of inf gives ``inf_result``
+    too, without evaluating the formulas: every constant grows with c_W,
+    and at inf they would form inf / inf or 0 * inf, which is nan."""
+    if math.isinf(c_w):
+        return inf_result
     try:
         return constant()
     except OverflowError:
@@ -389,15 +393,17 @@ def constants_report(spec: ModelSpec, p: PropagationMatrix, x: np.ndarray,
     gamma = layout.view(w, "gamma") if spec.arch == "gprgnn" else None
     norms = measure_norms(spec, p, gamma=gamma)
     lip = _inf_on_overflow(lambda: loss_lipschitz(spec, c_x, c_w, norms),
-                           LipschitzResult(math.inf))
+                           LipschitzResult(math.inf), c_w)
     p_f = _inf_on_overflow(
-        lambda: gradient_smoothness(spec, c_x, c_w, norms).value, math.inf)
+        lambda: gradient_smoothness(spec, c_x, c_w, norms).value, math.inf,
+        c_w)
     db = degree_bound(stats) if stats is not None else float("nan")
     zero = None
     if spec.arch == "gcnii":
         corner = replace(spec, alpha1=0.0, alpha2=0.0, beta1=0.0, beta2=0.0)
         zero = _inf_on_overflow(
-            lambda: loss_lipschitz(corner, c_x, c_w, norms).value, math.inf)
+            lambda: loss_lipschitz(corner, c_x, c_w, norms).value, math.inf,
+            c_w)
     return ConstantsReport(c_x=c_x, c_w=c_w, norms=norms, l_f=lip.value,
                            p_f=p_f,
                            alpha_tilde=spec.activation.alpha_tilde,

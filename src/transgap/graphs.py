@@ -2,23 +2,31 @@
 
 Graphs are stored in compressed-sparse-row form without values (unweighted,
 symmetric, no self-loops).  Propagation operators carry nonnegative float64
-values and a cached infinity norm.  Matrix powers are never materialized for
-exponent >= 2: every polynomial sum_k c_k P^k X is read from the stack
-[X, PX, ..., P^K X] of ``gpr_powers``, built by repeated sparse mat-vec /
-mat-mat products, which is exact for the infinity norm of a nonnegative
-matrix (max component of P^k applied to the all-ones vector).  Only the
-small-graph ``appnp_filter`` forms a matrix, the filter itself.
+values and a cached infinity norm.  Graphs and operators are built with
+numpy alone; scipy only multiplies.  ``scipy.sparse`` is imported here, by
+``scipy_sparse``, on the first sparse product or block, so a command that
+only builds graphs (``transgap gen``) never loads it.
+
+Matrix powers are never materialized for exponent >= 2: every polynomial
+sum_k c_k P^k X is read from the stack [X, PX, ..., P^K X] of
+``gpr_powers``, built by repeated sparse mat-vec / mat-mat products, which
+is exact for the infinity norm of a nonnegative matrix (max component of
+P^k applied to the all-ones vector).  Only the small-graph
+``appnp_filter`` forms a matrix, the filter itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rng import stream
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Above this many nodes the APPNP filter is applied lazily instead of being
 # materialized: the dense-ish filter costs memory quadratic in n, and at mean
@@ -26,8 +34,12 @@ from .rng import stream
 # fast on the lazy path from about 250 nodes on and faster above 300.
 FILTER_MATERIALIZE_LIMIT = 250
 
-# Uniform draws held at once by ``sbm_generate`` (whole rows, at least one).
-_SBM_CHUNK = 1 << 20
+
+def scipy_sparse():
+    """The ``scipy.sparse`` module, imported on first use."""
+    import scipy.sparse
+
+    return scipy.sparse
 
 
 @dataclass(frozen=True)
@@ -106,15 +118,13 @@ class SparseGraph:
                 f"row {first_unsorted} not strictly sorted / has duplicates")
         if first_loop < self.n:
             raise ValueError(f"self-loop stored at node {first_loop}")
-        tr = _csr_bool(self).T.tocsr()
-        tr.sort_indices()
-        if not (np.array_equal(tr.indptr, rp) and np.array_equal(tr.indices, ci)):
+        # The (row, col) pairs are sorted, and so are the (col, row) pairs
+        # in this order (rows ascend); they agree iff every edge is stored
+        # both ways.
+        order = np.argsort(ci, kind="stable")
+        if not (np.array_equal(ci[order], rows)
+                and np.array_equal(rows[order], ci)):
             raise ValueError("adjacency not symmetric")
-
-
-def _csr_bool(g: SparseGraph) -> sp.csr_matrix:
-    data = np.ones(g.col_idx.shape[0], dtype=np.float64)
-    return sp.csr_matrix((data, g.col_idx, g.row_ptr), shape=(g.n, g.n))
 
 
 def _ltr_row_sums(row_ptr: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -148,22 +158,28 @@ class PropagationMatrix:
             raise ValueError("propagation values must be finite and nonnegative")
 
     @classmethod
+    def from_csr(cls, n: int, row_ptr: np.ndarray, col_idx: np.ndarray,
+                 values: np.ndarray) -> "PropagationMatrix":
+        """Operator from canonical CSR arrays (sorted, no duplicates or
+        stored zeros), with its infinity norm."""
+        rs = _ltr_row_sums(row_ptr, values, n)
+        inf = float(rs.max()) if n else 0.0
+        return cls(n=n, row_ptr=row_ptr.astype(np.int64),
+                   col_idx=col_idx.astype(np.int64),
+                   values=values.astype(np.float64), inf_norm=inf)
+
+    @classmethod
     def from_scipy(cls, mat: sp.spmatrix) -> "PropagationMatrix":
-        m = sp.csr_matrix(mat, dtype=np.float64, copy=True)
+        m = scipy_sparse().csr_matrix(mat, dtype=np.float64, copy=True)
         m.sum_duplicates()
         m.sort_indices()
         m.eliminate_zeros()
-        n = m.shape[0]
-        rs = _ltr_row_sums(m.indptr, m.data, n)
-        inf = float(rs.max()) if n else 0.0
-        return cls(n=n, row_ptr=m.indptr.astype(np.int64),
-                   col_idx=m.indices.astype(np.int64),
-                   values=m.data.astype(np.float64), inf_norm=inf)
+        return cls.from_csr(m.shape[0], m.indptr, m.indices, m.data)
 
     @cached_property
     def _csr(self) -> sp.csr_matrix:
-        m = sp.csr_matrix((self.values, self.col_idx, self.row_ptr),
-                          shape=(self.n, self.n))
+        m = scipy_sparse().csr_matrix(
+            (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n))
         for arr in (m.data, m.indices, m.indptr):
             arr.setflags(write=False)
         return m
@@ -221,13 +237,25 @@ def normalized_adjacency(g: SparseGraph) -> PropagationMatrix:
     """Degree-normalized adjacency with self-loops.
 
     Entry (i, j) of the result is (A + I)_ij / sqrt((d_i + 1)(d_j + 1));
-    isolated nodes get a diagonal entry of exactly 1.
+    isolated nodes get a diagonal entry of exactly 1.  The CSR of D(A + I)D
+    is written directly: row i holds its neighbours below i, then i, then
+    those above, and entry (i, j) is the one product s_i s_j with
+    s = 1 / sqrt(d + 1).
     """
-    deg = g.degrees.astype(np.float64)
-    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-    a = _csr_bool(g) + sp.identity(g.n, format="csr", dtype=np.float64)
-    d = sp.diags(inv_sqrt)
-    return PropagationMatrix.from_scipy(d @ a @ d)
+    n = g.n
+    deg = g.degrees
+    inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64) + 1.0)
+    rows = np.repeat(np.arange(n), deg)
+    below = np.bincount(rows[g.col_idx < rows], minlength=n)
+    row_ptr = g.row_ptr + np.arange(n + 1)
+    diag = row_ptr[:-1] + below
+    off_diag = np.ones(row_ptr[-1], dtype=bool)
+    off_diag[diag] = False
+    col_idx = np.empty(row_ptr[-1], dtype=np.int64)
+    col_idx[diag] = np.arange(n)
+    col_idx[off_diag] = g.col_idx
+    values = inv_sqrt[np.repeat(np.arange(n), deg + 1)] * inv_sqrt[col_idx]
+    return PropagationMatrix.from_csr(n, row_ptr, col_idx, values)
 
 
 def inf_norm_power(p: PropagationMatrix, k: int) -> float:
@@ -271,7 +299,7 @@ def appnp_filter(p: PropagationMatrix, gamma: float, big_k: int) -> PropagationM
     if p.n > FILTER_MATERIALIZE_LIMIT:
         raise ValueError("graph too large to materialize filter; use appnp_apply")
     m = p.to_scipy()
-    eye = sp.identity(p.n, format="csr", dtype=np.float64)
+    eye = scipy_sparse().identity(p.n, format="csr", dtype=np.float64)
     b = gamma * eye + (1.0 - gamma) * m
     for _ in range(big_k - 1):
         b = gamma * eye + (1.0 - gamma) * (m @ b)
@@ -317,9 +345,11 @@ def sbm_generate(sizes, p_in: float, p_out: float, seed: int,
     """Planted-partition graph with block labels.
 
     Each pair (i < j) gets an edge with probability p_in inside a block and
-    p_out across blocks.  Deterministic given the seed; the uniform draws are
-    made for every pair in row-major order, so the same seed yields nested
-    edge sets as probabilities grow.
+    p_out across blocks.  Deterministic given the seed: pair (i, j) compares
+    the uniform made from 64-bit word i*n + j of the seed's "sbm" Philox
+    stream, the (i, j) entry of one (n, n) draw, so the same seed yields
+    nested edge sets as probabilities grow.  Only the n(n-1)/2 words of the
+    pairs are made: Philox skips whole 4-word blocks in O(1).
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) == 0:
@@ -332,16 +362,29 @@ def sbm_generate(sizes, p_in: float, p_out: float, seed: int,
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes).astype(np.int64)
     rng = stream(seed, "sbm")
-    # Whole rows are drawn in chunks: consecutive draws continue the stream,
-    # so the uniforms are those of a single (n, n) draw, without its memory.
-    step = max(1, _SBM_CHUNK // n)
-    cols = np.arange(n)
-    edges = []
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        u = rng.random((rows.size, n))
-        prob = np.where(labels[rows, None] == labels[None, :], p_in, p_out)
-        hit = (u < prob) & (cols[None, :] > rows[:, None])
-        iu, ju = np.nonzero(hit)
-        edges.append(np.column_stack([iu + start, ju]))
-    return build_graph(np.concatenate(edges), n), labels
+    buf = np.empty(n + 3)
+    prob = np.full(n, p_out)  # entry j: the probability of pair (i, j)
+    pos = 0  # words of the stream used so far
+    counts, cols = np.zeros(n, dtype=np.int64), [np.zeros(0, dtype=np.int64)]
+    first = 0
+    for size in sizes:
+        prob[first:first + size] = p_in  # the rows i of this block
+        for i in range(first, min(first + size, n - 1)):
+            start = i * n + i + 1  # the word of pair (i, i + 1)
+            made = -(-pos // 4) * 4  # words of the blocks made so far
+            if start >= made:  # skip whole blocks; advance() also drops
+                # the unread words of the last one, so a block starts here
+                rng.bit_generator.advance(start // 4 - made // 4)
+                pos = start - start % 4
+            u = buf[:start + n - i - 1 - pos]
+            rng.random(out=u)
+            u = u[start - pos:]
+            pos = start + u.size
+            hits = (u < prob[i + 1:]).nonzero()[0]
+            counts[i] = hits.size
+            cols.append(hits + (i + 1))
+        prob[first:first + size] = p_out
+        first += size
+    edges = np.column_stack([np.repeat(np.arange(n), counts),
+                             np.concatenate(cols)])
+    return build_graph(edges, n), labels

@@ -37,11 +37,11 @@ from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .activations import ActivationSpec, act_deriv, act_eval
 from .graphs import (FILTER_MATERIALIZE_LIMIT, PropagationMatrix, appnp_apply,
-                     appnp_coefficients, appnp_filter, gpr_powers)
+                     appnp_coefficients, appnp_filter, gpr_powers,
+                     scipy_sparse)
 from .rng import stream
 
 ARCHITECTURES = ("gcn", "gcnii", "sgc", "appnp", "gprgnn")
@@ -283,7 +283,8 @@ class PropOps:
             below, local, width = ALL, cols, self.n
         else:
             local, width = np.searchsorted(below, cols), below.size
-        csr = sp.csr_array((p.values[pos], local, ptr), shape=(rows.size, width))
+        csr = scipy_sparse().csr_array((p.values[pos], local, ptr),
+                                       shape=(rows.size, width))
         return below, (csr, csr.T)
 
     def row_sets(self, rows) -> tuple[list, list]:
@@ -367,8 +368,9 @@ class FilterCache(ForwardCache):
     """Forward cache of appnp and gprgnn: the whole-graph filter product is
     formed on first read.
 
-    ``forward`` stores the node-wise MLP (h, and the activation derivatives
-    of both pre-activations), ``spec``, ``ops`` and the filter coefficients
+    ``forward`` stores the node-wise MLP (``s1``, ``h`` and the activation
+    derivatives ``sp1``, ``sp2`` of both pre-activations, not the
+    pre-activations themselves), ``spec``, ``ops`` and the filter coefficients
     ``gamma`` (gprgnn's copied block, appnp's ``appnp_coefficients``).  The
     power ``stack`` and the ``logits`` follow the first time checkpoint
     evaluation, ``grad_mean``, ``loss_sample`` or the ``analyze`` scan reads
@@ -430,20 +432,18 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     act = spec.activation
 
     if spec.arch in ("appnp", "gprgnn"):
-        pre1 = x @ mats["W1"]
-        s1 = act_eval(act, pre1)
-        pre2 = s1 @ mats["W2"]
-        h = act_eval(act, pre2)
+        pre = x @ mats["W1"]
+        s1, sp1 = act_eval(act, pre), act_deriv(act, pre)
+        pre = s1 @ mats["W2"]
+        h, sp2 = act_eval(act, pre), act_deriv(act, pre)
         _check_finite(h, f"{spec.arch} MLP output")
         if spec.arch == "appnp":
             gamma = appnp_coefficients(spec.gamma, spec.big_k)
         else:  # a copy: w may change in place after return
             gamma = mats["gamma"].copy()
         _check_finite(gamma, f"{spec.arch} filter coefficients")
-        return FilterCache(
-            spec=spec, ops=ops, gamma=gamma,
-            pre1=pre1, s1=s1, sp1=act_deriv(act, pre1),
-            pre2=pre2, h=h, sp2=act_deriv(act, pre2))
+        return FilterCache(spec=spec, ops=ops, gamma=gamma,
+                           s1=s1, sp1=sp1, h=h, sp2=sp2)
 
     sets, links = ops.row_sets(rows)
     z = ops.x_products(x)[-1][sets[spec.x_hops()]]

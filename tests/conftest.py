@@ -38,6 +38,17 @@ def run_cli_ok(args, cwd):
     return res
 
 
+def preactivations(spec, x, w, cache):
+    """The pre-activation arrays of a forward pass: gcn's and gcnii's
+    ``pres``; appnp's and gprgnn's two MLP layers, recomputed from X, w and
+    the cached first activation (their forward keeps neither); none for
+    sgc."""
+    if spec.arch in ("appnp", "gprgnn"):
+        mats = layout_for(spec).matrices(w)
+        return [x @ mats["W1"], cache.s1 @ mats["W2"]]
+    return [] if spec.arch == "sgc" else cache.pres
+
+
 def sample_weight_pair(spec, base_seed: int, pair_seed: int, radius: float = 0.5):
     """A pair (w, w') inside a common ball, plus their measured constants.
 

@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import run_cli_ok, sample_weight_pair
+from conftest import preactivations, run_cli_ok, sample_weight_pair
 from transgap.activations import ActivationSpec, act_deriv, act_eval
 from transgap.bounds import (BoundInputs, C0, DUDLEY_FACTOR, complexity_upper,
                              concentration_terms, excess_risk_rate,
@@ -70,8 +70,7 @@ def test_criterion_1_gradients():
             spec, ops, x, w, labels = small_instance(arch, seed=seed, q=1.1)
             from transgap.models import forward
             cache = forward(spec, ops, x, w)
-            pres = ([cache.pre1, cache.pre2] if arch in ("appnp", "gprgnn")
-                    else cache.pres if arch != "sgc" else [])
+            pres = preactivations(spec, x, w, cache)
             if pres and min(float(np.min(np.abs(p))) for p in pres) < 1e-4:
                 continue
             i = seed % ops.n

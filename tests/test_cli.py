@@ -103,6 +103,23 @@ class TestExitCodes:
         assert [l_f[m] for m in ("appnp", "gcnii", "gprgnn")] == ["inf"] * 3
         assert all(isinstance(l_f[m], float) for m in ("gcn", "sgc"))
 
+    @pytest.mark.parametrize("model", ["gcn", "sgc", "gcnii", "appnp",
+                                       "gprgnn"])
+    def test_analyze_infinite_cw_constants_are_inf(self, model, bundle_dir,
+                                                   tmp_path):
+        # the constants' formulas would form inf / inf or 0 * inf
+        out = tmp_path / "a.json"
+        res = run_cli(["analyze", "--data", str(bundle_dir), "--model", model,
+                       "--cw", "inf", "--T", "2", "--hidden", "4",
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        text = out.read_text()
+        assert "nan" not in text
+        [entry] = json.loads(text)["compare"]
+        assert entry["constants"]["c_W"] == "inf"
+        assert entry["constants"]["L_F"] == entry["constants"]["P_F"] == "inf"
+        assert entry["bound"]["total"] == "inf"
+
     @pytest.mark.parametrize("command,name", [("analyze", "a.json"),
                                               ("train", "t.csv")])
     def test_out_in_missing_directory_is_created(self, command, name,

@@ -75,10 +75,10 @@ def whole_graph_grad(spec, ops, x, w, i, label):
         gg = layout.view(g, "gamma")
         for k in range(spec.big_k + 1):
             gg[k] = err @ cache.stack[k][i]
-    sp2 = act_deriv(act, cache.pre2)
+    sp2 = act_deriv(act, cache.s1 @ mats["W2"])
     layout.view(g, "W2")[...] = (cache.s1.T @ (g_row[:, None] * sp2)) * err
     back = (sp2 * err[None, :]) @ mats["W2"].T
-    sp1 = act_deriv(act, cache.pre1)
+    sp1 = act_deriv(act, x @ mats["W1"])
     layout.view(g, "W1")[...] = x.T @ (g_row[:, None] * sp1 * back)
     return g
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import preactivations
 from transgap.activations import ActivationSpec
 from transgap.gradients import (central_differences, fd_gradient, grad_mean,
                                 grad_sample, max_relative_error)
@@ -131,8 +132,7 @@ class TestFiniteDifferenceAgreement:
         for seed in range(14):
             spec, ops, x, w, labels = small_instance(arch, seed=seed, q=1.1)
             cache = forward(spec, ops, x, w)
-            pres = ([cache.pre1, cache.pre2] if arch in ("appnp", "gprgnn")
-                    else cache.pres if arch != "sgc" else [])
+            pres = preactivations(spec, x, w, cache)
             if pres and min(float(np.min(np.abs(p))) for p in pres) < 1e-4:
                 continue  # near a derivative kink; resampled per policy
             i = seed % ops.n

@@ -1,13 +1,37 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PACKAGE_ROOT
+from transgap.cli import main
 from transgap.graphs import (PropagationMatrix, appnp_apply,
                              appnp_coefficients, appnp_filter, build_graph,
                              degree_bound, drop_edge, gpr_powers,
                              inf_norm_power, normalized_adjacency,
                              sbm_generate)
+from transgap.rng import stream
+
+# sha256 of the files `transgap gen` writes with the flags of the benchmark's
+# 6000-node workload at seed 3, recorded at commit 87098ed, when the sampler
+# still drew the whole (n, n) stream and the operator came from scipy.
+SCALE_6K_GEN = ["--blocks", "3000,3000", "--pin", "0.004", "--pout", "0.0005",
+                "--signal", "1.5", "--noise", "2.0", "--seed", "3"]
+SCALE_6K_SHA256 = {
+    "edges.tsv":
+        "d7cfa63b4b5f8ddf3231d5e3aa36f1cba7bf316070ee818c08338f212179c98f",
+    "features.csv":
+        "4ca3f14f969af3b80816cf6daf3815507b4eb756a4ed1f87c0a5bed01a4f6270",
+    "labels.csv":
+        "5f7c25b33bf7bbc8ed1fbe8c6cf36c231f1044a724c43b858d4c323a8517bfb0",
+    "meta.json":
+        "1ee325a7c3df89ac211040d4453469adba4af5ded990289c43f11dbff98f1678",
+}
 
 
 def k3():
@@ -84,6 +108,28 @@ class TestNormalizedAdjacency:
         assert dense[1, 2] == pytest.approx(1.0 / np.sqrt(6.0))
         assert dense[2, 2] == pytest.approx(0.5)
         assert p.inf_norm == pytest.approx(2.0 / np.sqrt(6.0) + 1.0 / 3.0)
+
+    @pytest.mark.parametrize("g", [
+        build_graph([], 0), build_graph([], 3),
+        build_graph([(0, 4), (2, 4)], 6),  # nodes 1, 3 and 5 isolated
+        k3(), p3(),
+        *(sbm_generate([20, 15], 0.3, 0.05, seed=s)[0] for s in range(4)),
+        sbm_generate([7, 1, 9], 1.0, 0.3, seed=2)[0]])
+    def test_bits_equal_scipy_product(self, g):
+        # the former construction: D (A + I) D with scipy's sparse products
+        import scipy.sparse as sp
+
+        a = sp.csr_matrix((np.ones(g.col_idx.size), g.col_idx, g.row_ptr),
+                          shape=(g.n, g.n)) + sp.identity(g.n, format="csr")
+        d = sp.diags(1.0 / np.sqrt(g.degrees.astype(np.float64) + 1.0))
+        expect = PropagationMatrix.from_scipy(d @ a @ d)
+        p = normalized_adjacency(g)
+        assert p.n == expect.n
+        assert p.inf_norm == expect.inf_norm
+        for name in ("row_ptr", "col_idx", "values"):
+            got, want = getattr(p, name), getattr(expect, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
 
     def test_cached_norm_matches_fixed_order_recompute(self):
         g, _ = sbm_generate([20, 15], 0.3, 0.05, seed=5)
@@ -283,24 +329,46 @@ class TestSbm:
         with pytest.raises(ValueError):
             sbm_generate([], 0.5, 0.5, seed=0)
 
-    @pytest.mark.parametrize("chunk", [1, 37, 1 << 20])
-    def test_row_chunks_equal_one_dense_draw(self, chunk, monkeypatch):
-        import transgap.graphs as graphs
-        from transgap.rng import stream
+    @pytest.mark.parametrize("sizes", [
+        [1], [2], [3], [4], [5], [6], [7], [8],
+        [1, 1, 1], [2, 1, 3], [9, 1, 6], [33, 40, 2], [100, 100]])
+    @pytest.mark.parametrize("p_in,p_out", [(0.2, 0.05), (1.0, 0.0),
+                                            (0.0, 1.0)])
+    def test_pairs_equal_one_dense_draw(self, sizes, p_in, p_out):
+        # one block and three, every n mod 4; the pairs read the words of
+        # the stream that an (n, n) draw puts at (i, j)
+        n = sum(sizes)
+        for seed in (0, 3, 7):
+            g, labels = sbm_generate(sizes, p_in, p_out, seed=seed)
+            u = stream(seed, "sbm").random((n, n))
+            prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+            iu, ju = np.triu_indices(n, k=1)
+            mask = u[iu, ju] < prob[iu, ju]
+            expect = build_graph(np.column_stack([iu[mask], ju[mask]]), n)
+            assert np.array_equal(g.row_ptr, expect.row_ptr)
+            assert np.array_equal(g.col_idx, expect.col_idx)
 
-        monkeypatch.setattr(graphs, "_SBM_CHUNK", chunk)
-        for sizes in ([8, 7], [100, 100]):
-            for seed in (0, 3, 7):
-                g, labels = sbm_generate(sizes, 0.2, 0.05, seed=seed)
-                # the one-shot formula: one (n, n) draw, upper triangle
-                n = sum(sizes)
-                u = stream(seed, "sbm").random((n, n))
-                prob = np.where(labels[:, None] == labels[None, :], 0.2, 0.05)
-                iu, ju = np.triu_indices(n, k=1)
-                mask = u[iu, ju] < prob[iu, ju]
-                expect = build_graph(np.column_stack([iu[mask], ju[mask]]), n)
-                assert np.array_equal(g.row_ptr, expect.row_ptr)
-                assert np.array_equal(g.col_idx, expect.col_idx)
+    def test_scale_6k_bundle_digests_frozen(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert main(["gen", *SCALE_6K_GEN, "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in SCALE_6K_SHA256}
+        assert digests == SCALE_6K_SHA256
+
+    def test_gen_never_imports_scipy(self, tmp_path):
+        code = ("import sys\n"
+                "from transgap.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+                "'scipy'))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])))
+        res = subprocess.run(
+            [sys.executable, "-c", code, "gen", "--blocks", "12,12", "--out",
+             str(tmp_path / "bundle")],
+            capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), p_in=st.floats(0, 1),
@@ -363,6 +431,14 @@ class TestValidate:
 
     def test_asymmetric_pattern(self):
         g = _raw_graph(3, [[1], [0, 2], []])
+        with pytest.raises(ValueError, match="not symmetric"):
+            g.validate()
+
+    @pytest.mark.parametrize("rows", [
+        [[1], [2], [0]],  # a directed cycle: every row count matches
+        [[1, 2], [0], [1]]])
+    def test_asymmetric_edge_sets(self, rows):
+        g = _raw_graph(3, rows)
         with pytest.raises(ValueError, match="not symmetric"):
             g.validate()
 
