@@ -30,7 +30,7 @@ from .experiments import (MODEL_CHOICES, REPORT_SCHEMA, UsageError,
                           run_experiment, theory_offset)
 from .gradients import fd_gradient, grad_sample, max_relative_error
 from .graphs import normalized_adjacency, sbm_generate
-from .models import forward, init_params, layout_for
+from .models import forward, init_params, layout_for, preactivations
 from .rng import stream
 from .training import run_sgd
 
@@ -446,20 +446,12 @@ def gradcheck_instance(model: str, args, inst: int):
             continue
         if args.q >= 1.5:
             break
-        closest = min(float(np.min(np.abs(arr)))
-                      for arr in _preacts(spec, x, w, cache))
+        closest = min((float(np.min(np.abs(arr)))
+                       for arr in preactivations(spec, x, w, cache)),
+                      default=math.inf)
         if closest > 1e-4:
             break
     return spec, ops, x, w, node, int(labels[node])
-
-
-def _preacts(spec, x, w, cache):
-    if spec.arch == "sgc":
-        return [np.zeros(1) + 1.0]
-    if spec.arch in ("appnp", "gprgnn"):  # the forward keeps no pre-activation
-        mats = layout_for(spec).matrices(w)
-        return [x @ mats["W1"], cache.s1 @ mats["W2"]]
-    return cache.pres
 
 
 def cmd_gradcheck(args) -> int:

@@ -2,22 +2,22 @@
 
 ``_backward`` is each architecture's one backward pass from the logit
 errors of a set of rows; for gcn, sgc and gcnii it is one top-down walk
-over the layers of a plan (``PropOps.row_sets``), readout first.
-``grad_mean`` runs it on the plan of every node, with the errors of an
-index multiset, to get the mean (or any weighted sum) of per-sample
-gradients.  ``grad_sample`` returns the exact gradient of one node's
-cross-entropy: gcn, sgc and gcnii run ``_backward`` on that node's error
-row, down the node's own plan (built once per node); appnp and gprgnn
-read one row of their filter, which feeds the same MLP backward.
-``fd_gradient`` is the independent central-difference oracle used by the
-test suite and the gradcheck command.
+over the layers of a plan (``PropOps.row_sets``), readout first.  It never
+calls the activation: it multiplies by rows of the forward's sigma'
+(``ForwardCache.sps``).  ``grad_mean`` runs it on the plan of every node,
+with the errors of an index multiset, to get the mean (or any weighted
+sum) of per-sample gradients.  ``grad_sample`` returns the exact gradient
+of one node's cross-entropy: gcn, sgc and gcnii run ``_backward`` on that
+node's error row, down the node's own plan (built once per node); appnp
+and gprgnn read one row of their filter, which feeds the same MLP
+backward.  ``fd_gradient`` is the independent central-difference oracle
+used by the test suite and the gradcheck command.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .activations import act_deriv
 from .graphs import gpr_powers
 from .models import (ALL, ForwardCache, ModelSpec, PropOps, forward,
                      layout_for, loss_sample, positions, softmax_rows)
@@ -67,7 +67,7 @@ def _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label):
     err[label] -= 1.0
     if spec.arch == "gprgnn":
         layout.view(g, "gamma")[...] = hop_logits @ err
-    dpre2 = row[:, None] * cache.sp2
+    dpre2 = row[:, None] * cache.sps[1]
     dpre2 *= err
     _mlp_backward(x, cache, layout, mats, g, dpre2)
 
@@ -77,7 +77,7 @@ def _mlp_backward(x, cache, layout, mats, g, dpre2):
     error at its output pre-activation."""
     layout.view(g, "W2")[...] = cache.s1.T @ dpre2
     dpre1 = dpre2 @ mats["W2"].T
-    dpre1 *= cache.sp1
+    dpre1 *= cache.sps[0]
     layout.view(g, "W1")[...] = x.T @ dpre1
 
 
@@ -90,7 +90,6 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
     set, and the errors at layer l sit on its set S_l.  appnp and gprgnn
     take every node and run the errors through the transposed filter, the
     ``gpr_powers`` stack weighted by ``cache.gamma``."""
-    act = spec.activation
     depth = spec.depth
     if spec.arch in ("appnp", "gprgnn"):
         if "gamma" in layout.names():
@@ -98,7 +97,7 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
             gg[...] = [np.sum(err * hop) for hop in cache.stack]
         dstack = gpr_powers(ops.p, err, spec.big_k)
         dh = np.tensordot(cache.gamma, dstack, axes=(0, 0))
-        dh *= cache.sp2
+        dh *= cache.sps[1]
         _mlp_backward(x, cache, layout, mats, g, dh)
         return
     sets, links = plan or (cache.sets, cache.links)
@@ -113,7 +112,7 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
             if l > 1:
                 dpre = ops.propagate_link(links[l], dpre @ mats[f"W{l}"].T,
                                           transpose=True)
-                dpre *= act_deriv(act, cache.pres[l - 2][at(l - 1)])
+                dpre *= cache.sps[l - 2][at(l - 1)]
     elif spec.arch == "sgc":
         layout.view(g, "W2")[...] = cache.zw1[at(2)].T @ err
         layout.view(g, "W1")[...] = cache.z[at(2)].T @ (err @ mats["W2"].T)
@@ -126,7 +125,7 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
         # One array carries the error down, updated in place where it can:
         # the error at H_l, then at pre_l, then at the aggregate of layer l.
         for l in range(depth, 0, -1):
-            dh *= act_deriv(act, cache.pres[l][at(l)])
+            dh *= cache.sps[l][at(l)]
             layout.view(g, f"W{l}")[...] = betas[l - 1] * (
                 cache.aggs[l - 1][at(l)].T @ dh)
             dh = dh @ cache.psis[l - 1].T
@@ -134,7 +133,7 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
             dh = ops.propagate_link(links[l], dh, transpose=True)
             dh *= 1.0 - alphas[l - 1]
         dh0 += dh
-        dh0 *= act_deriv(act, cache.pres[0][at(0)])
+        dh0 *= cache.sps[0][at(0)]
         layout.view(g, "W0")[...] = x0.T @ dh0
 
 

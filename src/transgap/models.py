@@ -347,14 +347,15 @@ def positions(held, rows):
 
 class ForwardCache:
     """The intermediates the backward pass reads, plus logits; the row
-    softmax ``probs`` is formed on first read.  gcn, sgc and gcnii also
-    keep the ``sets`` and ``links`` of ``PropOps.row_sets``, and nothing
-    more: layer l's arrays hold the rows of ``sets[l]``, and the first
-    layer reads its rows of ``PropOps.x_products``.  gcn keeps its L layer
-    inputs ``zs`` and L - 1 pre-activations ``pres``; sgc ``z`` and
-    ``zw1``; gcnii its L + 1 pre-activations ``pres``, L aggregates
-    ``aggs`` and mixing matrices ``psis``, and of its hidden states only
-    the top one, ``h_top``."""
+    softmax ``probs`` is formed on first read.  Every model keeps ``sps``,
+    sigma' of each pre-activation, bottom up, and no pre-activation.  gcn,
+    sgc and gcnii also keep the ``sets`` and ``links`` of
+    ``PropOps.row_sets``, and nothing more: layer l's arrays hold the rows
+    of ``sets[l]``, and the first layer reads its rows of
+    ``PropOps.x_products``.  gcn keeps its L layer inputs ``zs`` and L - 1
+    ``sps``; sgc ``z`` and ``zw1``; gcnii L + 1 ``sps``, L aggregates
+    ``aggs`` and mixing matrices ``psis``, and only the top hidden state,
+    ``h_top``."""
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
@@ -368,9 +369,8 @@ class FilterCache(ForwardCache):
     """Forward cache of appnp and gprgnn: the whole-graph filter product is
     formed on first read.
 
-    ``forward`` stores the node-wise MLP (``s1``, ``h`` and the activation
-    derivatives ``sp1``, ``sp2`` of both pre-activations, not the
-    pre-activations themselves), ``spec``, ``ops`` and the filter coefficients
+    ``forward`` stores the node-wise MLP (``s1``, ``h`` and the two entries
+    of ``sps``), ``spec``, ``ops`` and the filter coefficients
     ``gamma`` (gprgnn's copied block, appnp's ``appnp_coefficients``).  The
     power ``stack`` and the ``logits`` follow the first time checkpoint
     evaluation, ``grad_mean``, ``loss_sample`` or the ``analyze`` scan reads
@@ -413,6 +413,16 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise FloatingPointError(f"non-finite values in {where}")
 
 
+def _activate(act: ActivationSpec, pre: np.ndarray, sps: list) -> np.ndarray:
+    """sigma(pre); sigma'(pre) overwrites ``pre``, a fresh product, and is
+    appended to ``sps``.  In a new array it left a hole in glibc's heap: a
+    6000-node gcnii ``train`` peaked one n x h array (3 MB) higher."""
+    out = act_eval(act, pre)
+    pre[...] = act_deriv(act, pre)
+    sps.append(pre)
+    return out
+
+
 def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             rows: np.ndarray | None = None) -> ForwardCache:
     """Forward pass that caches every gradient intermediate.
@@ -431,11 +441,10 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     mats = layout.matrices(w)
     act = spec.activation
 
+    sps = []
     if spec.arch in ("appnp", "gprgnn"):
-        pre = x @ mats["W1"]
-        s1, sp1 = act_eval(act, pre), act_deriv(act, pre)
-        pre = s1 @ mats["W2"]
-        h, sp2 = act_eval(act, pre), act_deriv(act, pre)
+        s1 = _activate(act, x @ mats["W1"], sps)
+        h = _activate(act, s1 @ mats["W2"], sps)
         _check_finite(h, f"{spec.arch} MLP output")
         if spec.arch == "appnp":
             gamma = appnp_coefficients(spec.gamma, spec.big_k)
@@ -443,27 +452,25 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             gamma = mats["gamma"].copy()
         _check_finite(gamma, f"{spec.arch} filter coefficients")
         return FilterCache(spec=spec, ops=ops, gamma=gamma,
-                           s1=s1, sp1=sp1, h=h, sp2=sp2)
+                           s1=s1, h=h, sps=sps)
 
     sets, links = ops.row_sets(rows)
     z = ops.x_products(x)[-1][sets[spec.x_hops()]]
     if spec.arch == "gcn":
-        zs, pres = [z], []
+        zs = [z]
         for l in range(1, spec.depth):
-            pre = zs[-1] @ mats[f"W{l}"]
-            pres.append(pre)
-            zs.append(ops.propagate_link(links[l + 1], act_eval(act, pre)))
+            zs.append(ops.propagate_link(
+                links[l + 1], _activate(act, zs[-1] @ mats[f"W{l}"], sps)))
         logits = zs[-1] @ mats[f"W{spec.depth}"]
-        cache = ForwardCache(zs=zs, pres=pres)
+        cache = ForwardCache(zs=zs)
     elif spec.arch == "sgc":
         zw1 = z @ mats["W1"]
         logits = zw1 @ mats["W2"]
         cache = ForwardCache(z=z, zw1=zw1)
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-        pre0 = z @ mats["W0"]
-        h0 = h = act_eval(act, pre0)
-        pres, aggs, psis = [pre0], [], []
+        h0 = h = _activate(act, z @ mats["W0"], sps)
+        aggs, psis = [], []
         for l in range(1, spec.depth + 1):
             a_l, b_l = alphas[l - 1], betas[l - 1]
             agg = ops.propagate_link(links[l], h)
@@ -472,18 +479,32 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             # C order: BLAS takes another path, and other bytes, for F
             psi = np.multiply(b_l, mats[f"W{l}"], order="C")
             psi.flat[::spec.h + 1] += 1.0 - b_l
-            pre = agg @ psi
-            h = act_eval(act, pre)
+            h = _activate(act, agg @ psi, sps)
             aggs.append(agg)
             psis.append(psi)
-            pres.append(pre)
         logits = h @ mats[f"W{spec.depth + 1}"]
-        cache = ForwardCache(h_top=h, pres=pres, aggs=aggs, psis=psis)
+        cache = ForwardCache(h_top=h, aggs=aggs, psis=psis)
 
     _check_finite(logits, f"{spec.arch} logits")
     cache.logits = logits
-    cache.sets, cache.links = sets, links
+    cache.sps, cache.sets, cache.links = sps, sets, links
     return cache
+
+
+def preactivations(spec: ModelSpec, x: np.ndarray, w: np.ndarray,
+                   cache: ForwardCache) -> list[np.ndarray]:
+    """The pre-activations of the forward that made ``cache``, bottom up,
+    recomputed from it: ``cache.sps`` holds sigma' of each.  sgc has
+    none.  Only gradcheck's kink test reads them."""
+    mats = layout_for(spec).matrices(w)
+    if spec.arch == "gcn":
+        return [cache.zs[l - 1] @ mats[f"W{l}"] for l in range(1, spec.depth)]
+    if spec.arch == "gcnii":
+        return [x[cache.sets[0]] @ mats["W0"]] + [
+            agg @ psi for agg, psi in zip(cache.aggs, cache.psis)]
+    if spec.arch == "sgc":
+        return []
+    return [x @ mats["W1"], cache.s1 @ mats["W2"]]
 
 
 def node_loss(cache: ForwardCache, i: int, label: int) -> float:

@@ -7,8 +7,11 @@ import numpy as np
 
 import transgap
 from transgap.constants import compute_cw, measure_norms
-from transgap.models import layout_for
+from transgap.datasets import Split
+from transgap.gradients import grad_mean
+from transgap.models import forward, init_params, layout_for
 from transgap.rng import stream
+from transgap.training import LrSchedule, SgdConfig, evaluate, run_sgd
 
 # Directory that holds the imported ``transgap`` package: ``src`` in a
 # checkout, site-packages for an installed copy.
@@ -38,15 +41,45 @@ def run_cli_ok(args, cwd):
     return res
 
 
-def preactivations(spec, x, w, cache):
-    """The pre-activation arrays of a forward pass: gcn's and gcnii's
-    ``pres``; appnp's and gprgnn's two MLP layers, recomputed from X, w and
-    the cached first activation (their forward keeps neither); none for
-    sgc."""
-    if spec.arch in ("appnp", "gprgnn"):
-        mats = layout_for(spec).matrices(w)
-        return [x @ mats["W1"], cache.s1 @ mats["W2"]]
-    return [] if spec.arch == "sgc" else cache.pres
+def rel_err(a, b):
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def check_sgd_against_whole_graph(spec, ops, x, labels, train, batch,
+                                  sample_grad):
+    """14 steps of ``run_sgd`` against a reference loop: each step takes
+    the mean of ``sample_grad(w, j)`` over the drawn nodes j, and each
+    checkpoint evaluates the whole graph, the gradient gap from two mean
+    gradients.  The weights and every checkpoint must agree."""
+    split = Split(train_idx=train,
+                  test_idx=np.setdiff1d(np.arange(ops.n), train))
+    config = SgdConfig(big_t=14, seed=2, batch_size=batch,
+                       schedule=LrSchedule("inverse_time", 2.0, 5.0),
+                       eval_every=4)
+    w, trace = run_sgd(spec, ops, x, labels, split, config)
+    w_ref = w_start = init_params(spec, config.seed)
+    draw = stream(config.seed, "sgd_draws")
+    rows, g_emp = [], 0.0
+    for t in range(1, config.big_t + 1):
+        eta = config.schedule.eta(t)
+        picks = train[draw.integers(0, split.m, size=batch)]
+        grads = [sample_grad(w_ref, int(j)) for j in picks]
+        g_emp = max([g_emp] + [np.sqrt(eta) * float(np.linalg.norm(g))
+                               for g in grads])
+        w_ref = w_ref - eta * np.mean(grads, axis=0)
+        if t % config.eval_every == 0 or t == config.big_t:
+            cache = forward(spec, ops, x, w_ref)
+            gap = np.linalg.norm(
+                grad_mean(spec, ops, x, w_ref, split.train_idx, labels, cache)
+                - grad_mean(spec, ops, x, w_ref, split.test_idx, labels, cache))
+            rows.append(evaluate(spec, ops, x, labels, split, w_ref, cache)
+                        + (gap, float(np.linalg.norm(w_ref - w_start)), g_emp))
+    assert rel_err(w, w_ref) <= 1e-10
+    assert [cp.t for cp in trace.checkpoints] == [4, 8, 12, 14]
+    for cp, ref in zip(trace.checkpoints, rows):
+        got = (cp.r_m, cp.r_u, cp.acc_m, cp.acc_u, cp.grad_gap, cp.dist,
+               cp.g_emp)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
 
 
 def sample_weight_pair(spec, base_seed: int, pair_seed: int, radius: float = 0.5):

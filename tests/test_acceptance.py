@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import preactivations, run_cli_ok, sample_weight_pair
+from conftest import run_cli_ok, sample_weight_pair
 from transgap.activations import ActivationSpec, act_deriv, act_eval
 from transgap.bounds import (BoundInputs, C0, DUDLEY_FACTOR, complexity_upper,
                              concentration_terms, excess_risk_rate,
@@ -26,8 +26,8 @@ from transgap.experiments import ExperimentConfig, run_experiment
 from transgap.gradients import fd_gradient, grad_sample, max_relative_error
 from transgap.graphs import (build_graph, degree_bound, inf_norm_power,
                              normalized_adjacency, sbm_generate)
-from transgap.models import (ModelSpec, PropOps, init_params, layout_for,
-                             loss_sample)
+from transgap.models import (ModelSpec, PropOps, forward, init_params,
+                             layout_for, loss_sample, preactivations)
 from transgap.rng import stream
 from transgap.training import LrSchedule
 
@@ -68,7 +68,6 @@ def test_criterion_1_gradients():
             if checked >= 10:
                 break
             spec, ops, x, w, labels = small_instance(arch, seed=seed, q=1.1)
-            from transgap.models import forward
             cache = forward(spec, ops, x, w)
             pres = preactivations(spec, x, w, cache)
             if pres and min(float(np.min(np.abs(p))) for p in pres) < 1e-4:

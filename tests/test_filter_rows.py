@@ -7,6 +7,7 @@ tests hold the whole-graph formula the row path replaced as an oracle.
 
 import numpy as np
 import pytest
+from conftest import check_sgd_against_whole_graph, rel_err
 
 import transgap.models as models
 from transgap.activations import ActivationSpec, act_deriv
@@ -15,8 +16,7 @@ from transgap.gradients import grad_mean, grad_sample
 from transgap.graphs import (appnp_coefficients, build_graph,
                              normalized_adjacency)
 from transgap.models import ModelSpec, PropOps, forward, init_params, layout_for
-from transgap.rng import stream
-from transgap.training import LrSchedule, SgdConfig, evaluate, run_sgd
+from transgap.training import SgdConfig, evaluate, run_sgd
 
 FILTER_ARCHS = ("appnp", "gprgnn")
 
@@ -83,10 +83,6 @@ def whole_graph_grad(spec, ops, x, w, i, label):
     return g
 
 
-def rel_err(a, b):
-    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
-
-
 class TestRowGradient:
     @pytest.mark.parametrize("arch", FILTER_ARCHS)
     @pytest.mark.parametrize("materialize", [True, False])
@@ -127,10 +123,10 @@ def filter_oracle_grad_mean(spec, ops, x, w, idx, labels):
     err = probs[idx].copy()
     err[np.arange(idx.size), labels[idx]] -= 1.0
     np.add.at(delta, idx, err / idx.size)
-    dpre2 = ops.filter.matmat(delta) * cache.sp2
+    dpre2 = ops.filter.matmat(delta) * cache.sps[1]
     g = np.zeros(layout.dim)
     layout.view(g, "W2")[...] = cache.s1.T @ dpre2
-    layout.view(g, "W1")[...] = x.T @ ((dpre2 @ mats["W2"].T) * cache.sp1)
+    layout.view(g, "W1")[...] = x.T @ ((dpre2 @ mats["W2"].T) * cache.sps[0])
     return g
 
 
@@ -257,48 +253,12 @@ class TestLazyFilterProduct:
         assert calls == [True]
 
 
-def whole_graph_sgd(spec, ops, x, labels, split, config):
-    """Reference trainer: the whole-graph per-sample formula at every step,
-    the gradient gap from two mean gradients."""
-    w = init_params(spec, config.seed)
-    w_start = w.copy()
-    draw = stream(config.seed, "sgd_draws")
-    rows, g_emp = [], 0.0
-    for t in range(1, config.big_t + 1):
-        eta = config.schedule.eta(t)
-        picks = split.train_idx[draw.integers(0, split.m,
-                                              size=config.batch_size)]
-        grads = [whole_graph_grad(spec, ops, x, w, int(j), int(labels[j]))
-                 for j in picks]
-        g_emp = max([g_emp] + [np.sqrt(eta) * float(np.linalg.norm(g))
-                               for g in grads])
-        w = w - eta * np.mean(grads, axis=0)
-        if t % config.eval_every == 0 or t == config.big_t:
-            cache = forward(spec, ops, x, w)
-            gap = np.linalg.norm(
-                grad_mean(spec, ops, x, w, split.train_idx, labels, cache)
-                - grad_mean(spec, ops, x, w, split.test_idx, labels, cache))
-            rows.append(evaluate(spec, ops, x, labels, split, w, cache)
-                        + (gap, float(np.linalg.norm(w - w_start)), g_emp))
-    return w, rows
-
-
 class TestRunSgdOnRows:
     @pytest.mark.parametrize("arch", FILTER_ARCHS)
     @pytest.mark.parametrize("batch", [1, 2])
     def test_trace_matches_whole_graph_loop(self, arch, batch):
         spec, ops, x, labels, _ = instance(arch, seed=4)
-        train = np.array([0, 3, 9, 12, 17, 24, 26, 27])
-        split = Split(train_idx=train,
-                      test_idx=np.setdiff1d(np.arange(ops.n), train))
-        config = SgdConfig(big_t=14, seed=2, batch_size=batch,
-                           schedule=LrSchedule("inverse_time", 2.0, 5.0),
-                           eval_every=4)
-        w, trace = run_sgd(spec, ops, x, labels, split, config)
-        w_ref, rows = whole_graph_sgd(spec, ops, x, labels, split, config)
-        assert rel_err(w, w_ref) <= 1e-10
-        assert [cp.t for cp in trace.checkpoints] == [4, 8, 12, 14]
-        for cp, ref in zip(trace.checkpoints, rows):
-            got = (cp.r_m, cp.r_u, cp.acc_m, cp.acc_u, cp.grad_gap, cp.dist,
-                   cp.g_emp)
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+        check_sgd_against_whole_graph(
+            spec, ops, x, labels, np.array([0, 3, 9, 12, 17, 24, 26, 27]),
+            batch, lambda w, j: whole_graph_grad(spec, ops, x, w, j,
+                                                 int(labels[j])))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from conftest import preactivations
 from transgap.activations import ActivationSpec
 from transgap.gradients import (central_differences, fd_gradient, grad_mean,
                                 grad_sample, max_relative_error)
@@ -9,7 +8,7 @@ import scipy.sparse as sp
 from transgap.graphs import (PropagationMatrix, build_graph,
                              normalized_adjacency, sbm_generate)
 from transgap.models import (ModelSpec, PropOps, forward, init_params,
-                             layout_for)
+                             layout_for, preactivations)
 
 Q2 = ActivationSpec(q=2.0)
 ALL_ARCHS = ("gcn", "gcnii", "sgc", "appnp", "gprgnn")

@@ -9,14 +9,15 @@ import collections
 
 import numpy as np
 import pytest
+from conftest import check_sgd_against_whole_graph, rel_err
 
-from transgap.activations import ActivationSpec
+from transgap.activations import ActivationSpec, act_deriv
 from transgap.datasets import Split
 from transgap.gradients import grad_mean, grad_sample
 from transgap.graphs import build_graph, gpr_powers, normalized_adjacency
-from transgap.models import ALL, ModelSpec, PropOps, forward, init_params
-from transgap.rng import stream
-from transgap.training import LrSchedule, SgdConfig, evaluate, run_sgd
+from transgap.models import (ALL, ModelSpec, PropOps, forward, init_params,
+                             preactivations)
+from transgap.training import LrSchedule, SgdConfig, run_sgd
 
 LOCAL_ARCHS = [("gcn", 2), ("gcn", 6), ("sgc", 2), ("gcnii", 2), ("gcnii", 6)]
 RING = 40
@@ -35,24 +36,20 @@ def ring_graph(ring=RING):
     return build_graph(edges, ring + 4)
 
 
-def make_spec(arch, depth, d=3, h=4, c=3):
+def make_spec(arch, depth, d=3, h=4, c=3, q=2.0):
     return ModelSpec(arch=arch, d=d, h=h, num_classes=c,
-                     activation=ActivationSpec(q=2.0), big_k=3, depth=depth)
+                     activation=ActivationSpec(q=q), big_k=3, depth=depth)
 
 
-def instance(arch, depth, seed=0, ring=RING):
+def instance(arch, depth, seed=0, ring=RING, q=2.0):
     g = ring_graph(ring)
-    spec = make_spec(arch, depth)
+    spec = make_spec(arch, depth, q=q)
     ops = PropOps(normalized_adjacency(g), spec)
     rng = np.random.default_rng(seed)
     x = 2.0 * rng.normal(size=(g.n, spec.d))
     labels = rng.integers(0, spec.num_classes, size=g.n)
     w = init_params(spec, seed)
     return spec, ops, x, labels, w
-
-
-def rel_err(a, b):
-    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
 def dense(link):
@@ -220,6 +217,37 @@ class TestRestrict:
             assert [rows.tolist() for rows in sets] == [[n - 1]] * 3
 
 
+class TestCachedDerivatives:
+    """The backward multiplies by the rows of the cached sigma' (``sps``),
+    which equal sigma' of the pre-activation rows bit for bit.  Row-set
+    pre-activations match the whole graph's only to rounding: a one-row
+    product takes another BLAS path."""
+
+    @pytest.mark.parametrize("arch,depth",
+                             LOCAL_ARCHS + [("appnp", 2), ("gprgnn", 2)])
+    @pytest.mark.parametrize("q", [2.0, 1.5, 1.1])
+    @pytest.mark.parametrize("picks", [(7,), (0, 3, RING + 1, ISOLATED)])
+    def test_row_set_derivatives_are_whole_graph_rows(self, arch, depth, q,
+                                                      picks):
+        spec, ops, x, _, w = instance(arch, depth, q=q)
+        act = spec.activation
+        full, local = (forward(spec, ops, x, w, rows)
+                       for rows in (None, np.array(picks)))
+        pres = preactivations(spec, x, w, full)
+        for cache in (full, local):
+            sps = [act_deriv(act, p) for p in preactivations(spec, x, w, cache)]
+            assert len(sps) == len(cache.sps)
+            assert all(map(np.array_equal, sps, cache.sps))
+        first = int(arch == "gcn")  # gcn's k-th sits on layer k + 1's rows
+        for k, sp in enumerate(local.sps if arch in ("gcn", "gcnii") else []):
+            rows = local.sets[k + first]
+            assert rows is not ALL
+            assert np.array_equal(full.sps[k][rows],
+                                  act_deriv(act, pres[k][rows]))
+            np.testing.assert_allclose(sp, full.sps[k][rows], rtol=0,
+                                       atol=1e-12)
+
+
 class TestLocality:
     @pytest.mark.parametrize("arch", ["gcn", "sgc", "gcnii"])
     def test_step_reads_no_whole_graph_product(self, arch, monkeypatch):
@@ -240,52 +268,15 @@ class TestLocality:
             forward(spec, control, x, w)
 
 
-def whole_graph_sgd(spec, ops, x, labels, split, config):
-    """Reference trainer: every step forward and backward on the whole graph,
-    the gradient gap from two mean gradients."""
-    w = init_params(spec, config.seed)
-    w_start = w.copy()
-    draw = stream(config.seed, "sgd_draws")
-    rows, g_emp = [], 0.0
-    for t in range(1, config.big_t + 1):
-        eta = config.schedule.eta(t)
-        cache = forward(spec, ops, x, w)
-        picks = split.train_idx[draw.integers(0, split.m,
-                                              size=config.batch_size)]
-        grads = [grad_mean(spec, ops, x, w, np.array([j]), labels, cache)
-                 for j in picks]
-        g_emp = max([g_emp] + [np.sqrt(eta) * float(np.linalg.norm(g))
-                               for g in grads])
-        w = w - eta * np.mean(grads, axis=0)
-        if t % config.eval_every == 0 or t == config.big_t:
-            cache = forward(spec, ops, x, w)
-            gap = np.linalg.norm(
-                grad_mean(spec, ops, x, w, split.train_idx, labels, cache)
-                - grad_mean(spec, ops, x, w, split.test_idx, labels, cache))
-            rows.append(evaluate(spec, ops, x, labels, split, w, cache)
-                        + (gap, float(np.linalg.norm(w - w_start)), g_emp))
-    return w, rows
-
-
 class TestRunSgdOnBalls:
     @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
     @pytest.mark.parametrize("batch", [1, 2])
     def test_trace_matches_whole_graph_loop(self, arch, depth, batch):
         spec, ops, x, labels, _ = instance(arch, depth, seed=4)
-        train = np.array([0, 3, 9, 17, 25, 33, RING + 1, ISOLATED])
-        split = Split(train_idx=train,
-                      test_idx=np.setdiff1d(np.arange(ops.n), train))
-        config = SgdConfig(big_t=14, seed=2, batch_size=batch,
-                           schedule=LrSchedule("inverse_time", 2.0, 5.0),
-                           eval_every=4)
-        w, trace = run_sgd(spec, ops, x, labels, split, config)
-        w_ref, rows = whole_graph_sgd(spec, ops, x, labels, split, config)
-        assert rel_err(w, w_ref) <= 1e-10
-        assert [cp.t for cp in trace.checkpoints] == [4, 8, 12, 14]
-        for cp, ref in zip(trace.checkpoints, rows):
-            got = (cp.r_m, cp.r_u, cp.acc_m, cp.acc_u, cp.grad_gap, cp.dist,
-                   cp.g_emp)
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+        check_sgd_against_whole_graph(
+            spec, ops, x, labels,
+            np.array([0, 3, 9, 17, 25, 33, RING + 1, ISOLATED]), batch,
+            lambda w, j: grad_mean(spec, ops, x, w, np.array([j]), labels))
 
 
 def counted(monkeypatch):

@@ -6,7 +6,8 @@ from transgap.datasets import sbm_bundle
 from transgap.experiments import MODEL_CHOICES, model_spec_for
 from transgap.graphs import build_graph, normalized_adjacency
 from transgap.models import (ModelSpec, PropOps, forward, init_params,
-                             layout_for, node_loss, softmax_xent)
+                             layout_for, node_loss, preactivations,
+                             softmax_xent)
 
 Q2 = ActivationSpec(q=2.0)
 
@@ -178,10 +179,12 @@ class TestForwardClosedForms:
     def test_gcn_triangle_hand_computation(self):
         spec = ModelSpec(arch="gcn", d=3, h=3, num_classes=3, activation=Q2)
         ops = k3_ops(spec)
-        cache = forward(spec, ops, np.eye(3), identity_params(spec))
+        w = identity_params(spec)
+        cache = forward(spec, ops, np.eye(3), w)
         third = np.full((3, 3), 1 / 3)
+        pres = preactivations(spec, np.eye(3), w, cache)
         np.testing.assert_allclose(cache.zs[0], third, atol=1e-15)
-        np.testing.assert_allclose(act_eval(Q2, cache.pres[0]), third ** 2,
+        np.testing.assert_allclose(act_eval(Q2, pres[0]), third ** 2,
                                    atol=1e-15)
         np.testing.assert_allclose(cache.zs[-1], third ** 2, atol=1e-15)
         np.testing.assert_allclose(cache.probs, 1 / 3, atol=1e-15)
@@ -211,8 +214,9 @@ class TestForwardClosedForms:
         h0 = act_eval(Q2, bundle.x @ layout.view(w, "W0"))
         h1 = act_eval(Q2, dense @ h0 @ layout.view(w, "W1"))
         h2 = act_eval(Q2, dense @ h1 @ layout.view(w, "W2"))
-        # the forward keeps H_1 only as its pre-activation, and H_2 as the top
-        np.testing.assert_allclose(act_eval(Q2, cache.pres[1]), h1, atol=1e-12)
+        # the forward keeps H_2 as the top; H_1 is sigma of a pre-activation
+        pres = preactivations(spec, bundle.x, w, cache)
+        np.testing.assert_allclose(act_eval(Q2, pres[1]), h1, atol=1e-12)
         np.testing.assert_allclose(cache.h_top, h2, atol=1e-12)
         np.testing.assert_allclose(cache.logits, h2 @ layout.view(w, "W3"),
                                    atol=1e-12)

@@ -226,9 +226,9 @@ class TestCheckpointMemory:
     """Traced peak memory of whole-graph passes on a 1000-node graph, in
     units of one n x h float64 array.
 
-    A gcnii forward keeps its L + 1 pre-activations, L aggregates and the
-    top hidden state (2L + 2 arrays), and its backward adds at most three
-    more; gcn keeps L - 1 pre-activations and layer inputs, appnp its
+    A gcnii forward keeps sigma' of its L + 1 pre-activations, L aggregates
+    and the top hidden state (2L + 2 arrays), and its backward adds at most
+    three more; gcn keeps L - 1 sigma' arrays and L layer inputs, appnp its
     three n x h MLP arrays.  Each bound leaves about one array for the
     n x c and h x h arrays.
     """
@@ -263,8 +263,9 @@ class TestCheckpointMemory:
         (dict(arch="gcnii"), 10.5),
         (dict(arch="gcnii", depth=6), 19.0),
         (dict(arch="gcn"), 5.0),
+        (dict(arch="gcn", depth=6), 14.5),
         (dict(arch="appnp"), 6.0),
-    ], ids=["gcnii", "gcnii6", "gcn", "appnp"])
+    ], ids=["gcnii", "gcnii6", "gcn", "gcn6", "appnp"])
     def test_checkpoint_peak(self, graph, kw, bound):
         spec, ops, x, labels, split, w = self.setup_run(graph, **kw)
 
