@@ -30,7 +30,7 @@ from .experiments import (MODEL_CHOICES, REPORT_SCHEMA, UsageError,
                           run_experiment, theory_offset)
 from .gradients import fd_gradient, grad_sample, max_relative_error
 from .graphs import normalized_adjacency, sbm_generate
-from .models import forward, init_params, layout_for, preactivations
+from .models import forward, init_params, kink_distance, layout_for
 from .rng import stream
 from .training import run_sgd
 
@@ -444,12 +444,7 @@ def gradcheck_instance(model: str, args, inst: int):
         g = grad_sample(spec, ops, x, w, node, int(labels[node]), cache=cache)
         if float(np.abs(g).max()) < 1e-2:  # dead unit; FD would be all noise
             continue
-        if args.q >= 1.5:
-            break
-        closest = min((float(np.min(np.abs(arr)))
-                       for arr in preactivations(spec, x, w, cache)),
-                      default=math.inf)
-        if closest > 1e-4:
+        if args.q >= 1.5 or kink_distance(spec, x, w, cache) > 1e-4:
             break
     return spec, ops, x, w, node, int(labels[node])
 

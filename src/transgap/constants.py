@@ -26,8 +26,8 @@ from .models import ModelSpec, ParamLayout, layout_for
 
 SQRT2 = math.sqrt(2.0)
 
-# Entries of the power stack held at once by the mixed-sign branch of
-# ``gpr_filter_inf_norm`` (whole unit columns, at least one).
+# Entries of the power stack held at once by ``gpr_filter_inf_norm``
+# (whole unit columns, at least one).
 _NORM_CHUNK = 1 << 20
 
 
@@ -89,8 +89,8 @@ def measure_norms(spec: ModelSpec, p: PropagationMatrix,
     """
     a_inf = p.inf_norm
     # Row k is P^k 1, whose largest entry is the norm of P^k (P is
-    # nonnegative); gprgnn reads rows 0..K, the others only row 2.
-    big_k = max(2, spec.big_k) if spec.arch == "gprgnn" else 2
+    # nonnegative); the filter models read rows 0..K, the others only row 2.
+    big_k = max(2, spec.big_k) if spec.arch in ("appnp", "gprgnn") else 2
     powers = gpr_powers(p, np.ones(p.n), big_k)
     a2_inf = float(powers[2].max())
     power_sum = 0.0
@@ -106,7 +106,12 @@ def measure_norms(spec: ModelSpec, p: PropagationMatrix,
         else:
             power_sum = float(sum(float(powers[k].max())
                                   for k in range(spec.big_k + 1)))
-        g_inf = gpr_filter_inf_norm(p, np.asarray(gamma, dtype=np.float64))
+        gamma = np.asarray(gamma, dtype=np.float64)
+        if np.all(gamma >= 0.0):  # the filter is nonnegative too
+            g_inf = float(np.tensordot(gamma, powers[:gamma.size],
+                                       axes=(0, 0)).max())
+        else:
+            g_inf = gpr_filter_inf_norm(p, gamma)
     return PropagationNorms(a_inf=a_inf, a2_inf=a2_inf, g_inf=g_inf,
                             power_sum=power_sum)
 
@@ -114,14 +119,12 @@ def measure_norms(spec: ModelSpec, p: PropagationMatrix,
 def gpr_filter_inf_norm(p: PropagationMatrix, gamma: np.ndarray) -> float:
     """Infinity norm of sum_k gamma_k P^k without forming the powers.
 
-    Nonnegative coefficients admit the exact ones-vector shortcut.  Mixed
-    signs need the absolute row sums, read from the filter applied to
-    blocks of unit columns (P is symmetric, so column i is row i).
+    The absolute row sums are read from the filter applied to blocks of
+    unit columns (P is symmetric, so column i is row i).  With nonnegative
+    coefficients ``measure_norms`` reads the norm from the ones-vector
+    stack instead.
     """
     big_k = gamma.shape[0] - 1
-    if np.all(gamma >= 0.0):
-        stack = gpr_powers(p, np.ones(p.n), big_k)
-        return float(np.tensordot(gamma, stack, axes=(0, 0)).max())
     best = 0.0
     step = max(1, _NORM_CHUNK // (max(p.n, 1) * (big_k + 1)))
     for start in range(0, p.n, step):

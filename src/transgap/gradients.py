@@ -27,8 +27,9 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
                 i: int, label: int,
                 cache: ForwardCache | None = None) -> np.ndarray:
     """Gradient of the cross-entropy at node i w.r.t. the flat parameters,
-    from a forward over every node or over row sets that hold node i
-    (without ``cache``, over node i's row sets)."""
+    from a forward over every node or for rows that hold node i (without
+    ``cache``, for node i alone).  appnp and gprgnn read only the MLP of
+    either forward and build node i's logits from its filter row."""
     if cache is None:
         cache = forward(spec, ops, x, w, np.array([i]))
     layout = layout_for(spec)

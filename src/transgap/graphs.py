@@ -17,7 +17,7 @@ P^k applied to the all-ones vector).  Only the small-graph
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -139,17 +139,12 @@ def _ltr_row_sums(row_ptr: np.ndarray, values: np.ndarray, n: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class PropagationMatrix:
-    """Sparse nonnegative operator with a cached infinity norm.
-
-    The cached ``inf_norm`` is the exact maximum row sum under the package's
-    fixed left-to-right accumulation order.
-    """
+    """Sparse nonnegative operator with a cached infinity norm."""
 
     n: int
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    inf_norm: float = field(default=0.0)
 
     def __post_init__(self):
         for arr in (self.row_ptr, self.col_idx, self.values):
@@ -161,12 +156,10 @@ class PropagationMatrix:
     def from_csr(cls, n: int, row_ptr: np.ndarray, col_idx: np.ndarray,
                  values: np.ndarray) -> "PropagationMatrix":
         """Operator from canonical CSR arrays (sorted, no duplicates or
-        stored zeros), with its infinity norm."""
-        rs = _ltr_row_sums(row_ptr, values, n)
-        inf = float(rs.max()) if n else 0.0
+        stored zeros)."""
         return cls(n=n, row_ptr=row_ptr.astype(np.int64),
                    col_idx=col_idx.astype(np.int64),
-                   values=values.astype(np.float64), inf_norm=inf)
+                   values=values.astype(np.float64))
 
     @classmethod
     def from_scipy(cls, mat: sp.spmatrix) -> "PropagationMatrix":
@@ -190,6 +183,12 @@ class PropagationMatrix:
 
     def row_sums(self) -> np.ndarray:
         return _ltr_row_sums(self.row_ptr, self.values, self.n)
+
+    @cached_property
+    def inf_norm(self) -> float:
+        """The exact maximum row sum under the package's fixed
+        left-to-right accumulation order; 0 for an empty operator."""
+        return float(self.row_sums().max()) if self.n else 0.0
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         return self.to_scipy() @ x

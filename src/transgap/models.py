@@ -10,9 +10,9 @@ more than half the nodes is every node.  A ``PropOps`` keeps what a
 forward computes that does not depend on w: the row sets and sparse blocks
 of each drawn node, and the products P X and P^2 X that the first layer of
 every gcn and sgc forward reads (``PropOps.x_products``).  appnp and
-gprgnn compute their node-wise MLP on every node and return a
-``FilterCache``, which forms the whole-graph filter product (a weighted
-``gpr_powers`` stack) on the first read of logits.
+gprgnn compute their node-wise MLP on every node; a whole-graph forward
+also forms the filter product (a weighted ``gpr_powers`` stack), which no
+training step reads.  A forward computes everything it returns at once.
 
 Architectures (P is the normalized adjacency, sigma the smoothed ReLU):
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -346,49 +346,21 @@ def positions(held, rows):
 
 
 class ForwardCache:
-    """The intermediates the backward pass reads, plus logits; the row
-    softmax ``probs`` is formed on first read.  Every model keeps ``sps``,
-    sigma' of each pre-activation, bottom up, and no pre-activation.  gcn,
-    sgc and gcnii also keep the ``sets`` and ``links`` of
-    ``PropOps.row_sets``, and nothing more: layer l's arrays hold the rows
-    of ``sets[l]``, and the first layer reads its rows of
-    ``PropOps.x_products``.  gcn keeps its L layer inputs ``zs`` and L - 1
-    ``sps``; sgc ``z`` and ``zw1``; gcnii L + 1 ``sps``, L aggregates
-    ``aggs`` and mixing matrices ``psis``, and only the top hidden state,
-    ``h_top``."""
+    """The intermediates the backward pass reads, plus the ``logits`` and
+    their row softmax ``probs``.  Every model keeps ``sps``, sigma' of each
+    pre-activation, bottom up, and no pre-activation.  gcn, sgc and gcnii
+    also keep the ``sets`` and ``links`` of ``PropOps.row_sets``, and
+    nothing more: layer l's arrays hold the rows of ``sets[l]``, and the
+    first layer reads its rows of ``PropOps.x_products``.  gcn keeps its L
+    layer inputs ``zs`` and L - 1 ``sps``; sgc ``z`` and ``zw1``; gcnii
+    L + 1 ``sps``, L aggregates ``aggs`` and mixing matrices ``psis``, and
+    only the top hidden state, ``h_top``.  appnp and gprgnn keep the MLP's
+    ``s1``, output ``h`` and two ``sps``, and the filter coefficients
+    ``gamma`` (gprgnn's copied block, appnp's ``appnp_coefficients``); a
+    whole-graph forward adds the power ``stack`` [h, P h, ..., P^K h]."""
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        return softmax_rows(self.logits)
-
-
-class FilterCache(ForwardCache):
-    """Forward cache of appnp and gprgnn: the whole-graph filter product is
-    formed on first read.
-
-    ``forward`` stores the node-wise MLP (``s1``, ``h`` and the two entries
-    of ``sps``), ``spec``, ``ops`` and the filter coefficients
-    ``gamma`` (gprgnn's copied block, appnp's ``appnp_coefficients``).  The
-    power ``stack`` and the ``logits`` follow the first time checkpoint
-    evaluation, ``grad_mean``, ``loss_sample`` or the ``analyze`` scan reads
-    them.  A training step reads neither: it builds the drawn node's logits
-    from one filter row (``grad_sample``).  An entry assigned before its
-    first read is kept.
-    """
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """[h, P h, ..., P^K h]."""
-        return gpr_powers(self.ops.p, self.h, self.spec.big_k)
-
-    @cached_property
-    def logits(self) -> np.ndarray:
-        logits = np.tensordot(self.gamma, self.stack, axes=(0, 0))
-        _check_finite(logits, f"{self.spec.arch} logits")
-        return logits
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -429,9 +401,9 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
 
     gcn, sgc and gcnii run each layer on the row set that the logits of
     the nodes ``rows`` read (every node for None; see ``PropOps.row_sets``).
-    appnp and gprgnn compute the node-wise MLP on every node and leave the
-    whole-graph filter product to the first reader of the logits (see
-    ``FilterCache``); a non-finite MLP output still raises here.
+    appnp and gprgnn compute the node-wise MLP on every node; with ``rows``
+    they stop there, since a step's gradient reads one filter row
+    (``grad_sample``), and without they form every node's logits.
     """
     if x.shape != (ops.n, spec.d):
         raise ValueError(f"X has shape {x.shape}, expected {(ops.n, spec.d)}")
@@ -451,23 +423,27 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         else:  # a copy: w may change in place after return
             gamma = mats["gamma"].copy()
         _check_finite(gamma, f"{spec.arch} filter coefficients")
-        return FilterCache(spec=spec, ops=ops, gamma=gamma,
-                           s1=s1, h=h, sps=sps)
-
-    sets, links = ops.row_sets(rows)
-    z = ops.x_products(x)[-1][sets[spec.x_hops()]]
+        cache = ForwardCache(gamma=gamma, s1=s1, h=h, sps=sps)
+        if rows is not None:
+            return cache
+        cache.stack = gpr_powers(ops.p, h, spec.big_k)
+        logits = np.tensordot(gamma, cache.stack, axes=(0, 0))
+    else:
+        sets, links = ops.row_sets(rows)
+        z = ops.x_products(x)[-1][sets[spec.x_hops()]]
+        cache = ForwardCache(sps=sps, sets=sets, links=links)
     if spec.arch == "gcn":
         zs = [z]
         for l in range(1, spec.depth):
             zs.append(ops.propagate_link(
                 links[l + 1], _activate(act, zs[-1] @ mats[f"W{l}"], sps)))
         logits = zs[-1] @ mats[f"W{spec.depth}"]
-        cache = ForwardCache(zs=zs)
+        cache.zs = zs
     elif spec.arch == "sgc":
         zw1 = z @ mats["W1"]
         logits = zw1 @ mats["W2"]
-        cache = ForwardCache(z=z, zw1=zw1)
-    else:  # gcnii
+        cache.z, cache.zw1 = z, zw1
+    elif spec.arch == "gcnii":
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
         h0 = h = _activate(act, z @ mats["W0"], sps)
         aggs, psis = [], []
@@ -483,11 +459,10 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             aggs.append(agg)
             psis.append(psi)
         logits = h @ mats[f"W{spec.depth + 1}"]
-        cache = ForwardCache(h_top=h, aggs=aggs, psis=psis)
+        cache.h_top, cache.aggs, cache.psis = h, aggs, psis
 
     _check_finite(logits, f"{spec.arch} logits")
-    cache.logits = logits
-    cache.sps, cache.sets, cache.links = sps, sets, links
+    cache.logits, cache.probs = logits, softmax_rows(logits)
     return cache
 
 
@@ -505,6 +480,17 @@ def preactivations(spec: ModelSpec, x: np.ndarray, w: np.ndarray,
     if spec.arch == "sgc":
         return []
     return [x @ mats["W1"], cache.s1 @ mats["W2"]]
+
+
+def kink_distance(spec: ModelSpec, x: np.ndarray, w: np.ndarray,
+                  cache: ForwardCache) -> float:
+    """Smallest |pre-activation| of the forward that made ``cache``; inf
+    for sgc.  The unit's derivative is only (q - 1)-Hoelder at 0, so below
+    q = 1.5 gradient checks resample an instance whose distance is
+    <= 1e-4."""
+    return min((float(np.min(np.abs(pre)))
+                for pre in preactivations(spec, x, w, cache)),
+               default=math.inf)
 
 
 def node_loss(cache: ForwardCache, i: int, label: int) -> float:

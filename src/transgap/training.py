@@ -214,8 +214,8 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     gprgnn are row-local: their forward computes only the node-wise MLP,
     and each drawn node's logits and gradient come from its own filter
     row, so the whole-graph filter product is never formed for a step.
-    Checkpoints always evaluate the whole graph, which is where appnp and
-    gprgnn propagate (lazily, on the first read of their logits).
+    Checkpoints always evaluate the whole graph, and their forward is
+    where appnp and gprgnn form it.
 
     Deterministic given (inputs, config.seed).  Aborts with a diagnostic if a
     checkpoint loss turns non-finite.

@@ -18,8 +18,8 @@ from transgap.training import LrSchedule, SgdConfig, evaluate, run_sgd
 PACKAGE_ROOT = Path(transgap.__file__).resolve().parents[1]
 
 
-def run_cli(args, cwd, threads="1"):
-    """Run ``python -m transgap.cli ARGS`` in a child process started in ``cwd``.
+def run_python(argv, cwd, threads="1"):
+    """Run ``python ARGV`` in a child process started in ``cwd``.
 
     The child gets ``TRANSGAP_THREADS=threads`` (single-threaded by default)
     and has ``PACKAGE_ROOT`` in front of the inherited PYTHONPATH, so it
@@ -29,8 +29,13 @@ def run_cli(args, cwd, threads="1"):
     pythonpath = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, TRANSGAP_THREADS=threads, PYTHONPATH=pythonpath)
-    return subprocess.run([sys.executable, "-m", "transgap.cli"] + args,
+    return subprocess.run([sys.executable] + argv,
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(args, cwd, threads="1"):
+    """Run ``python -m transgap.cli ARGS`` through ``run_python``."""
+    return run_python(["-m", "transgap.cli"] + args, cwd, threads)
 
 
 def run_cli_ok(args, cwd):

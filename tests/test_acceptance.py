@@ -27,7 +27,7 @@ from transgap.gradients import fd_gradient, grad_sample, max_relative_error
 from transgap.graphs import (build_graph, degree_bound, inf_norm_power,
                              normalized_adjacency, sbm_generate)
 from transgap.models import (ModelSpec, PropOps, forward, init_params,
-                             layout_for, loss_sample, preactivations)
+                             kink_distance, layout_for, loss_sample)
 from transgap.rng import stream
 from transgap.training import LrSchedule
 
@@ -69,8 +69,7 @@ def test_criterion_1_gradients():
                 break
             spec, ops, x, w, labels = small_instance(arch, seed=seed, q=1.1)
             cache = forward(spec, ops, x, w)
-            pres = preactivations(spec, x, w, cache)
-            if pres and min(float(np.min(np.abs(p))) for p in pres) < 1e-4:
+            if kink_distance(spec, x, w, cache) <= 1e-4:
                 continue
             i = seed % ops.n
             ga = grad_sample(spec, ops, x, w, i, int(labels[i]))

@@ -4,7 +4,11 @@ The API changes only together with a CHANGES.md entry that says so; this
 literal list makes every such change show up as a test edit.
 """
 
+import math
 import types
+from pathlib import Path
+
+from conftest import run_python
 
 import transgap
 
@@ -37,3 +41,15 @@ def test_exported_names_match_the_list():
 
 def test_version_is_exported():
     assert isinstance(transgap.__version__, str)
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    """README's "Library sketch" runs as written and prints L_F, P_F and
+    the certificate's total: three finite numbers."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch\n", 1)[1]
+    code = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    res = run_python(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr
+    values = [float(v) for v in res.stdout.split()]
+    assert len(values) == 3 and all(math.isfinite(v) for v in values)

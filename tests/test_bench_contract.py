@@ -100,12 +100,12 @@ def test_tracer_counts_a_filter_step(tracer):
     try:
         ops = PropOps(normalized_adjacency(graph), spec)
         w = init_params(spec, 0)
-        cache = forward(spec, ops, x, w)
+        cache = forward(spec, ops, x, w, np.array([2]))
         grad_sample(spec, ops, x, w, 2, int(labels[2]), cache=cache)
     finally:
         t.restore()
     assert t.leftovers() == []
     calls = {name: row["calls"] for name, row in t.stats().items()}
     assert calls["models.PropOps.power_row"] == 1
-    assert calls["graphs.gpr_powers"] == 0  # no logits were read
+    assert calls["graphs.gpr_powers"] == 0  # a step forms no logits
     assert t.counters["spmm_nnz_cols"] == int(ops.p.values.size) * spec.big_k

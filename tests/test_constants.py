@@ -155,7 +155,8 @@ class TestGradientSmoothness:
 
 
 class TestGprFilterNorm:
-    """gpr_filter_inf_norm against the dense filter sum_k gamma_k P^k."""
+    """gpr_filter_inf_norm and measure_norms' filter norm against the dense
+    filter sum_k gamma_k P^k."""
 
     @staticmethod
     def graphs():
@@ -185,6 +186,9 @@ class TestGprFilterNorm:
                        for k, c in enumerate(gamma))
             expect = np.abs(filt).sum(axis=1).max()
             got = constants.gpr_filter_inf_norm(p, gamma)
+            assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+            spec = spec_for("gprgnn", big_k=gamma.size - 1)
+            got = measure_norms(spec, p, gamma=gamma).g_inf
             assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Row-local steps of appnp and gprgnn.
 
-``forward`` stops at the node-wise MLP for the two filter models, and
+A forward for drawn rows stops at the node-wise MLP for the two filter
+models, a whole-graph forward forms every node's logits, and
 ``grad_sample`` builds the drawn node's logits from its filter row.  These
 tests hold the whole-graph formula the row path replaced as an oracle.
 """
@@ -188,11 +189,12 @@ class TestLazyFilterProduct:
 
         monkeypatch.setattr(models, "gpr_powers",
                             counted("gpr_powers", models.gpr_powers))
-        cache = forward(spec, ops, x, w)
-        grad_sample(spec, ops, x, w, 4, int(labels[4]), cache=cache)
+        step = forward(spec, ops, x, w, np.array([4]))
+        grad_sample(spec, ops, x, w, 4, int(labels[4]), cache=step)
         assert calls == []
-        probs = cache.probs
+        cache = forward(spec, ops, x, w)
         assert len(calls) == 1
+        probs = cache.probs
         assert cache.logits.shape == probs.shape == (ops.n, 3)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-14)
         if arch == "gprgnn":

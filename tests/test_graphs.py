@@ -1,14 +1,11 @@
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PACKAGE_ROOT
+from conftest import run_python
 from transgap.cli import main
 from transgap.graphs import (PropagationMatrix, appnp_apply,
                              appnp_coefficients, appnp_filter, build_graph,
@@ -156,7 +153,20 @@ class TestNormalizedAdjacency:
         with pytest.raises(ValueError):
             PropagationMatrix(n=1, row_ptr=np.array([0, 1]),
                               col_idx=np.array([0]),
-                              values=np.array([-1.0]), inf_norm=1.0)
+                              values=np.array([-1.0]))
+
+    @pytest.mark.parametrize("n", [0, 1, 20])
+    def test_direct_construction_has_its_norm(self, n):
+        # the norm is 0 only for the empty operator
+        g = sbm_generate([10, 10], 0.4, 0.1, seed=2)[0] if n == 20 else (
+            build_graph([], n))
+        via_csr = normalized_adjacency(g)
+        direct = PropagationMatrix(n=n, row_ptr=via_csr.row_ptr,
+                                   col_idx=via_csr.col_idx,
+                                   values=via_csr.values)
+        assert direct.inf_norm == via_csr.inf_norm
+        assert direct.inf_norm == float(direct.row_sums().max(initial=0.0))
+        assert (direct.inf_norm == 0.0) == (n == 0)
 
 
 class TestInfNormPower:
@@ -361,12 +371,8 @@ class TestSbm:
                 "assert main(sys.argv[1:]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == "
                 "'scipy'))\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])))
-        res = subprocess.run(
-            [sys.executable, "-c", code, "gen", "--blocks", "12,12", "--out",
-             str(tmp_path / "bundle")],
-            capture_output=True, text=True, env=env)
+        res = run_python(["-c", code, "gen", "--blocks", "12,12", "--out",
+                          str(tmp_path / "bundle")], tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
 
@@ -396,9 +402,10 @@ class TestScipyView:
         p = normalized_adjacency(p3())
         before = repr(p)
         p.to_scipy()
+        assert p.inf_norm > 0.0
         assert repr(p) == before
         assert [f.name for f in fields(p)] == [
-            "n", "row_ptr", "col_idx", "values", "inf_norm"]
+            "n", "row_ptr", "col_idx", "values"]
         other = normalized_adjacency(build_graph([(0, 1)], 2))
         assert other.to_scipy() is not p.to_scipy()
         assert other.to_scipy().shape == (2, 2)

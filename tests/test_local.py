@@ -176,9 +176,18 @@ class TestRestrict:
     @pytest.mark.parametrize("arch", ["appnp", "gprgnn"])
     def test_filter_models_stay_whole_graph(self, arch):
         spec, ops, x, labels, w = instance(arch, 2)
+        # rows give the whole-graph MLP and no filter product
         cache = forward(spec, ops, x, w, np.array([ISOLATED]))
         full = forward(spec, ops, x, w)
-        assert np.array_equal(cache.logits, full.logits)
+        assert np.array_equal(cache.s1, full.s1)
+        assert np.array_equal(cache.h, full.h)
+        assert all(np.array_equal(a, b) for a, b in zip(cache.sps, full.sps))
+        assert len(cache.sps) == len(full.sps) == 2
+        assert not hasattr(cache, "logits")
+        for i in (0, ISOLATED):
+            assert np.array_equal(
+                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=cache),
+                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=full))
 
     @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
     def test_small_graphs_take_row_sets(self, arch, depth):

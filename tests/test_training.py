@@ -228,9 +228,9 @@ class TestCheckpointMemory:
 
     A gcnii forward keeps sigma' of its L + 1 pre-activations, L aggregates
     and the top hidden state (2L + 2 arrays), and its backward adds at most
-    three more; gcn keeps L - 1 sigma' arrays and L layer inputs, appnp its
-    three n x h MLP arrays.  Each bound leaves about one array for the
-    n x c and h x h arrays.
+    three more; gcn keeps L - 1 sigma' arrays and L layer inputs, appnp and
+    gprgnn their three n x h MLP arrays, and sgc P^2 X W1.  Each bound
+    leaves about one array for the n x c and h x h arrays.
     """
 
     N, H = 1000, 64
@@ -265,7 +265,9 @@ class TestCheckpointMemory:
         (dict(arch="gcn"), 5.0),
         (dict(arch="gcn", depth=6), 14.5),
         (dict(arch="appnp"), 6.0),
-    ], ids=["gcnii", "gcnii6", "gcn", "gcn6", "appnp"])
+        (dict(arch="gprgnn"), 6.0),
+        (dict(arch="sgc"), 3.0),
+    ], ids=["gcnii", "gcnii6", "gcn", "gcn6", "appnp", "gprgnn", "sgc"])
     def test_checkpoint_peak(self, graph, kw, bound):
         spec, ops, x, labels, split, w = self.setup_run(graph, **kw)
 
