@@ -14,6 +14,12 @@ Library layout:
   cli          command-line front end
 """
 
+import os
+
+# Output bytes depend on the BLAS thread count: pin it before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 from .activations import ActivationSpec, act_deriv, act_eval
 from .bounds import (BoundInputs, BoundReport, complexity_upper,
                      concentration_terms, excess_risk_rate, gap_certificate,

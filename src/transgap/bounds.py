@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradients import grad_sample
-from .models import forward
-from .training import node_losses
+from .models import cross_entropy, forward
 
 C0 = math.sqrt(32.0 * math.log(4.0 * math.e) / 3.0)
 DUDLEY_FACTOR = math.sqrt(math.log(3.0)) + 1.5 * math.sqrt(math.pi)
@@ -170,8 +169,8 @@ def initial_bounds(spec, ops, x: np.ndarray, labels: np.ndarray,
     ``gradient_norm_diagnostics``.
     """
     cache = forward(spec, ops, x, w1)
-    all_idx = np.arange(ops.n)
-    b_loss = float(np.max(np.abs(node_losses(cache, all_idx, labels))))
+    b_loss = float(np.max(np.abs(
+        cross_entropy(cache.probs[np.arange(ops.n), labels]))))
     norms = np.empty(ops.n)
     for i in range(ops.n):
         g = grad_sample(spec, ops, x, w1, i, int(labels[i]), cache=cache)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import (BoundInputs, gap_certificate, gradient_norm_diagnostics,
                      initial_bounds)
-from .constants import constants_report
+from .constants import check_certified, constants_report
 from .datasets import (BundleFormatError, load_bundle, row_normalize,
                        sbm_bundle, save_bundle)
 from .experiments import (MODEL_CHOICES, REPORT_SCHEMA, UsageError,
@@ -312,8 +312,10 @@ def _write(path: str, text: str) -> None:
 
 
 def _constants(spec, ops, bundle, w1, c_w_override=None):
-    if spec.depth != 2:
-        raise UsageError("no constant certificate for depth != 2")
+    try:
+        check_certified(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return constants_report(spec, ops.p, bundle.x, w1,
                             stats=bundle.graph.degree_stats(),
                             c_w_override=c_w_override)

@@ -167,6 +167,12 @@ def gcnii_lipschitz_parts(spec: ModelSpec, c_x: float, c_w: float,
     return LipschitzParts(c1=c1, c2=c2, b1=b1, b2=b2, l1=l1, l2=l2)
 
 
+def check_certified(spec: ModelSpec) -> None:
+    """Only the depth-2 settings carry constant certificates."""
+    if spec.depth != 2:
+        raise ValueError("no constant certificate for depth != 2")
+
+
 def loss_lipschitz(spec: ModelSpec, c_x: float, c_w: float,
                    norms: PropagationNorms) -> LipschitzResult:
     """Architecture-specific loss-Lipschitz constant.
@@ -179,8 +185,7 @@ def loss_lipschitz(spec: ModelSpec, c_x: float, c_w: float,
     appnp:   gprgnn's, with power_sum 0 (fixed coefficients): 2 c_X c_W g
     Only the depth-2 gcn/gcnii settings carry a certificate.
     """
-    if spec.depth != 2:
-        raise ValueError("no constant certificate for depth != 2")
+    check_certified(spec)
     if spec.arch == "gcn":
         return LipschitzResult(2.0 * c_x * c_w * norms.a_inf ** 2)
     if spec.arch == "sgc":
@@ -327,8 +332,7 @@ def smoothness_tables(spec: ModelSpec, c_x: float, c_w: float,
 def gradient_smoothness(spec: ModelSpec, c_x: float, c_w: float,
                         norms: PropagationNorms) -> SmoothnessResult:
     """Gradient-Hoelder constant assembled from the per-block tables."""
-    if spec.depth != 2:
-        raise ValueError("no constant certificate for depth != 2")
+    check_certified(spec)
     p_tab, pt_tab = smoothness_tables(spec, c_x, c_w, norms)
     return _aggregate(p_tab, pt_tab, spec.activation.alpha_tilde)
 
@@ -389,6 +393,7 @@ def constants_report(spec: ModelSpec, p: PropagationMatrix, x: np.ndarray,
                      w: np.ndarray, stats=None,
                      c_w_override: float | None = None) -> ConstantsReport:
     """Measure c_X / c_W on real data and evaluate both constants."""
+    check_certified(spec)
     layout = layout_for(spec)
     c_x = compute_cx(x)
     c_w = (float(c_w_override) if c_w_override is not None

@@ -1,17 +1,17 @@
 """Analytic per-sample gradients, batched mean gradients, and an FD oracle.
 
 ``_backward`` is each architecture's one backward pass from the logit
-errors of a set of rows; for gcn, sgc and gcnii it is one top-down walk
-over the layers of a plan (``PropOps.row_sets``), readout first.  It never
-calls the activation: it multiplies by rows of the forward's sigma'
-(``ForwardCache.sps``).  ``grad_mean`` runs it on the plan of every node,
-with the errors of an index multiset, to get the mean (or any weighted
-sum) of per-sample gradients.  ``grad_sample`` returns the exact gradient
-of one node's cross-entropy: gcn, sgc and gcnii run ``_backward`` on that
-node's error row, down the node's own plan (built once per node); appnp
-and gprgnn read one row of their filter, which feeds the same MLP
-backward.  ``fd_gradient`` is the independent central-difference oracle
-used by the test suite and the gradcheck command.
+errors of a set of rows (``models.logit_error``); it returns the gradient
+it builds.  For gcn, sgc and gcnii it is one top-down walk over the layers
+of a plan (``PropOps.row_sets``), readout first.  It never calls the
+activation: it multiplies by rows of the forward's sigma' (``sps``).
+``grad_mean`` runs it on the plan of every node, with the errors of an
+index multiset, to get the mean (or any weighted sum) of per-sample
+gradients.  ``grad_sample`` returns the exact gradient of one node's
+cross-entropy: gcn, sgc and gcnii run ``_backward`` on that node's error
+row, down the node's own plan (built once per node); appnp and gprgnn run
+``_filter_row_grad`` on one row of their filter, into the same MLP
+backward.  ``fd_gradient`` is the independent central-difference oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 
 from .graphs import gpr_powers
 from .models import (ALL, ForwardCache, ModelSpec, PropOps, forward,
-                     layout_for, loss_sample, positions, softmax_rows)
+                     layout_for, logit_error, loss_sample, positions,
+                     softmax_rows)
 
 
 def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
@@ -32,45 +33,40 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     either forward and build node i's logits from its filter row."""
     if cache is None:
         cache = forward(spec, ops, x, w, np.array([i]))
-    layout = layout_for(spec)
-    mats = layout.matrices(w)
-    g = np.zeros(layout.dim)
     if spec.arch in ("appnp", "gprgnn"):
-        _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label)
-        return g
+        return _filter_row_grad(spec, ops, x, w, cache, i, label)
     top = cache.sets[-1]
     if top is not ALL and i not in top:
         raise ValueError(f"node {i} has no logits in this forward")
     plan = ops.row_sets(np.array([i]))
-    err = cache.probs[positions(top, plan[0][-1])].copy()
-    err[0, label] -= 1.0
-    _backward(spec, ops, x, cache, layout, mats, g, err, plan)
-    return g
+    err = logit_error(cache.probs[positions(top, plan[0][-1])], label)
+    return _backward(spec, ops, x, w, cache, err, plan)
 
 
-def _filter_row_grad(spec, ops, x, cache, layout, mats, g, i, label):
+def _filter_row_grad(spec, ops, x, w, cache, i, label):
     """Per-sample backward of appnp / gprgnn from row i of the filter.
 
     Node i's logits are that row times the MLP output h (for gprgnn, the
     gamma-weighted rows of P^k), so no whole-graph product is needed: the
     logit error enters the MLP backward as row * sigma'(pre2) * err.
     """
-    h = cache.h
+    layout = layout_for(spec)
+    g = np.zeros(layout.dim)
     if spec.arch == "appnp":
         row = ops.appnp_row(i)
-        logits = row @ h
+        logits = row @ cache.h
     else:
         rows = ops.power_row(i, spec.big_k)
-        hop_logits = rows @ h  # row i of P^k h, k = 0..K
-        row = mats["gamma"] @ rows
-        logits = mats["gamma"] @ hop_logits
-    err = softmax_rows(logits)
-    err[label] -= 1.0
+        hop_logits = rows @ cache.h  # row i of P^k h, k = 0..K
+        row = cache.gamma @ rows
+        logits = cache.gamma @ hop_logits
+    err = logit_error(softmax_rows(logits), label)
     if spec.arch == "gprgnn":
         layout.view(g, "gamma")[...] = hop_logits @ err
     dpre2 = row[:, None] * cache.sps[1]
     dpre2 *= err
-    _mlp_backward(x, cache, layout, mats, g, dpre2)
+    _mlp_backward(x, cache, layout, layout.matrices(w), g, dpre2)
+    return g
 
 
 def _mlp_backward(x, cache, layout, mats, g, dpre2):
@@ -82,8 +78,8 @@ def _mlp_backward(x, cache, layout, mats, g, dpre2):
     layout.view(g, "W1")[...] = x.T @ dpre1
 
 
-def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
-    """The backward pass of each architecture from logit errors ``err``.
+def _backward(spec, ops, x, w, cache, err, plan=None):
+    """The gradient at w by each architecture's backward pass from ``err``.
 
     gcn, sgc and gcnii run them down ``plan`` (the forward's own row sets
     and links by default), a plan of ``PropOps.row_sets`` whose sets lie
@@ -91,6 +87,9 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
     set, and the errors at layer l sit on its set S_l.  appnp and gprgnn
     take every node and run the errors through the transposed filter, the
     ``gpr_powers`` stack weighted by ``cache.gamma``."""
+    layout = layout_for(spec)
+    mats = layout.matrices(w)
+    g = np.zeros(layout.dim)
     depth = spec.depth
     if spec.arch in ("appnp", "gprgnn"):
         if "gamma" in layout.names():
@@ -100,7 +99,7 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
         dh = np.tensordot(cache.gamma, dstack, axes=(0, 0))
         dh *= cache.sps[1]
         _mlp_backward(x, cache, layout, mats, g, dh)
-        return
+        return g
     sets, links = plan or (cache.sets, cache.links)
 
     def at(l):  # where S_l sits in the forward's layer-l arrays
@@ -136,6 +135,7 @@ def _backward(spec, ops, x, cache, layout, mats, g, err, plan=None):
         dh0 += dh
         dh0 *= cache.sps[0][at(0)]
         layout.view(g, "W0")[...] = x0.T @ dh0
+    return g
 
 
 def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
@@ -153,18 +153,11 @@ def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
         raise ValueError("index set must be nonempty")
     if cache is None:
         cache = forward(spec, ops, x, w)
-    layout = layout_for(spec)
-    mats = layout.matrices(w)
-    g = np.zeros(layout.dim)
-
     delta = np.zeros((ops.n, spec.num_classes))
-    err = cache.probs[idx].copy()
-    err[np.arange(idx.size), labels[idx]] -= 1.0
+    err = logit_error(cache.probs[idx], labels[idx])
     np.add.at(delta, idx,
               err / idx.size if weights is None else err * weights[:, None])
-
-    _backward(spec, ops, x, cache, layout, mats, g, delta)
-    return g
+    return _backward(spec, ops, x, w, cache, delta)
 
 
 def central_differences(fn, w: np.ndarray, step: float) -> np.ndarray:

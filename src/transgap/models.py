@@ -370,14 +370,28 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def cross_entropy(p):
+    """The cross-entropy -log p of the probabilities ``p`` (a scalar or an
+    array) that rows give their labels; p is clamped so the loss is finite."""
+    return -np.log(np.maximum(p, 1e-12))
+
+
+def logit_error(probs: np.ndarray, labels) -> np.ndarray:
+    """probs - onehot(labels), the cross-entropy's gradient in the logits,
+    as a new array: ``probs`` is one row (1-D) or a stack of rows."""
+    err = np.array(probs)
+    rows = err.reshape(-1, err.shape[-1])
+    rows[np.arange(rows.shape[0]), labels] -= 1.0
+    return err
+
+
 def softmax_xent(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Stable cross-entropy of one logit row; probs clamped at 1e-12 for log."""
+    """Stable cross-entropy of one logit row, and its probabilities."""
     logits = np.asarray(logits, dtype=np.float64)
     if not 0 <= label < logits.shape[-1]:
         raise ValueError(f"label {label} out of range")
     probs = softmax_rows(logits)
-    loss = -np.log(max(float(probs[label]), 1e-12))
-    return loss, probs
+    return cross_entropy(probs[label]), probs
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
@@ -493,14 +507,9 @@ def kink_distance(spec: ModelSpec, x: np.ndarray, w: np.ndarray,
                default=math.inf)
 
 
-def node_loss(cache: ForwardCache, i: int, label: int) -> float:
-    """Cross-entropy of node i given its cached probabilities."""
-    return -np.log(max(float(cache.probs[i, label]), 1e-12))
-
-
 def loss_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
                 i: int, label: int) -> float:
-    return node_loss(forward(spec, ops, x, w), i, label)
+    return cross_entropy(forward(spec, ops, x, w).probs[i, label])
 
 
 def save_params(spec: ModelSpec, w: np.ndarray, path) -> None:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .datasets import Split
 from .gradients import grad_mean, grad_sample
-from .models import (ForwardCache, ModelSpec, PropOps, forward, init_params,
-                     layout_for)
+from .models import (ForwardCache, ModelSpec, PropOps, cross_entropy, forward,
+                     init_params, layout_for)
 from .rng import stream
 
 CSV_HEADER = "t,R_m,R_u,acc_m,acc_u,grad_gap,dist,g_emp"
@@ -109,24 +109,19 @@ class TrainTrace:
 
     @staticmethod
     def from_csv(text: str) -> "TrainTrace":
+        """Read ``to_csv``'s text.  ``dist`` is sampled at checkpoints, so
+        the run's radius (its max over every step) is unknown: nan."""
         lines = [ln for ln in text.strip().splitlines() if ln]
         if lines[0] != CSV_HEADER:
             raise ValueError("unexpected trace header")
-        trace = TrainTrace()
+        trace = TrainTrace(max_dist=math.nan)
         for ln in lines[1:]:
             parts = ln.split(",")
             cp = Checkpoint(int(parts[0]), *(float(p) for p in parts[1:]))
             trace.checkpoints.append(cp)
         if trace.checkpoints:
-            trace.max_dist = max(cp.dist for cp in trace.checkpoints)
             trace.g_emp = trace.checkpoints[-1].g_emp
         return trace
-
-
-def node_losses(cache: ForwardCache, idx: np.ndarray,
-                labels: np.ndarray) -> np.ndarray:
-    p = cache.probs[idx, labels[idx]]
-    return -np.log(np.maximum(p, 1e-12))
 
 
 def evaluate(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
@@ -138,12 +133,12 @@ def evaluate(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     """
     if cache is None:
         cache = forward(spec, ops, x, w)
-    pred = np.argmax(cache.probs, axis=1)
-    r_m = float(np.mean(node_losses(cache, split.train_idx, labels)))
-    r_u = float(np.mean(node_losses(cache, split.test_idx, labels)))
-    acc_m = float(np.mean(pred[split.train_idx] == labels[split.train_idx]))
-    acc_u = float(np.mean(pred[split.test_idx] == labels[split.test_idx]))
-    return r_m, r_u, acc_m, acc_u
+    losses = cross_entropy(cache.probs[np.arange(ops.n), labels])
+    hits = np.argmax(cache.probs, axis=1) == labels
+    return (float(np.mean(losses[split.train_idx])),
+            float(np.mean(losses[split.test_idx])),
+            float(np.mean(hits[split.train_idx])),
+            float(np.mean(hits[split.test_idx])))
 
 
 def gradient_gap(spec: ModelSpec, ops: PropOps, x: np.ndarray,

@@ -152,8 +152,8 @@ class TestInitialBounds:
         from transgap.datasets import sbm_bundle
         from transgap.gradients import grad_sample
         from transgap.graphs import normalized_adjacency
-        from transgap.models import (ModelSpec, PropOps, forward, init_params)
-        from transgap.training import node_losses
+        from transgap.models import (ModelSpec, PropOps, init_params,
+                                     loss_sample)
 
         bundle = sbm_bundle([5, 5], 0.5, 0.2, seed=0, d=4)
         spec = ModelSpec(arch="gcn", d=4, h=3, num_classes=2,
@@ -162,9 +162,9 @@ class TestInitialBounds:
         w1 = init_params(spec, 0)
         b_loss, b_grad, _ = initial_bounds(spec, ops, bundle.x, bundle.labels,
                                            w1)
-        cache = forward(spec, ops, bundle.x, w1)
-        losses = node_losses(cache, np.arange(10), bundle.labels)
-        assert b_loss == pytest.approx(float(np.abs(losses).max()))
+        losses = [loss_sample(spec, ops, bundle.x, w1, i,
+                              int(bundle.labels[i])) for i in range(10)]
+        assert b_loss == pytest.approx(max(losses))
         norms = [np.linalg.norm(grad_sample(spec, ops, bundle.x, w1, i,
                                             int(bundle.labels[i])))
                  for i in range(10)]

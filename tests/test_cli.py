@@ -120,6 +120,15 @@ class TestExitCodes:
         assert entry["constants"]["L_F"] == entry["constants"]["P_F"] == "inf"
         assert entry["bound"]["total"] == "inf"
 
+    def test_analyze_deep_model_with_infinite_cw_is_usage_error(
+            self, bundle_dir, tmp_path):
+        res = run_cli(["analyze", "--data", str(bundle_dir), "--model",
+                       "gcn6", "--cw", "inf", "--T", "2",
+                       "--out", str(tmp_path / "a.json")], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert ("usage error: no constant certificate for depth != 2"
+                in res.stderr)
+
     @pytest.mark.parametrize("command,name", [("analyze", "a.json"),
                                               ("train", "t.csv")])
     def test_out_in_missing_directory_is_created(self, command, name,
@@ -416,6 +425,32 @@ class TestDeterminism:
         run_cli_ok(flags + ["--out", str(tmp_path / "b.csv")], tmp_path)
         assert ((tmp_path / "a.csv").read_bytes()
                 == (tmp_path / "b.csv").read_bytes())
+
+    def test_experiment_bytes_ignore_blas_threads(self, tmp_path,
+                                                  monkeypatch):
+        """The package pins BLAS to one thread, so neither the default
+        (every core) nor a user's thread count changes a byte.  At two
+        BLAS threads, unpinned, the deep stacks' curves differ."""
+        assert main(["gen", "--blocks", "100,100", "--pin", "0.1",
+                     "--pout", "0.01", "--signal", "1.5", "--noise", "2.0",
+                     "--seed", "3", "--out", str(tmp_path / "bundle")]) == 0
+        flags = ["experiment", "--data", str(tmp_path / "bundle"),
+                 "--models", "gcn6,gcnii6", "--seeds", "1", "--T", "60",
+                 "--optimizer", "sgd", "--batch-size", "1",
+                 "--schedule", "inverse_time", "--lr-c", "3.0",
+                 "--t0", "100", "--eval-every", "30"]
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        outputs = []
+        for case in ({"OPENBLAS_NUM_THREADS": "1"}, {},
+                     {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}):
+            for var in blas:
+                monkeypatch.delenv(var, raising=False)
+            for var, value in case.items():
+                monkeypatch.setenv(var, value)
+            out = tmp_path / f"out{len(outputs)}"
+            run_cli_ok(flags + ["--out", str(out)], tmp_path)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert all(o == outputs[0] for o in outputs[1:])
 
 
 class TestAnalyze:

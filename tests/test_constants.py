@@ -291,6 +291,17 @@ class TestConstantsReport:
         assert rep.c_w == 1.0
         assert rep.l_f == pytest.approx(2.0 * rep.c_x * p.inf_norm ** 2)
 
+    @pytest.mark.parametrize("arch", ["gcn", "gcnii"])
+    @pytest.mark.parametrize("c_w", [None, 2.0, np.inf])
+    def test_report_checks_depth_whatever_c_w(self, arch, c_w):
+        """A pinned c_W of inf skips the formulas, not the depth rule."""
+        bundle = sbm_bundle([10, 10], 0.3, 0.1, seed=0, d=4)
+        spec = spec_for(arch, depth=6)
+        p = normalized_adjacency(bundle.graph)
+        with pytest.raises(ValueError, match="depth != 2"):
+            constants_report(spec, p, bundle.x, init_params(spec, 0),
+                             c_w_override=c_w)
+
 
 class TestGcniiParts:
     def test_unit_hypers_formulas(self):

@@ -175,7 +175,7 @@ class TestAppnpIsFixedGprgnn:
             block = layout.slice_of(name)
             assert rel_err(got[block], oracle[block]) <= 1e-12, name
 
-class TestLazyFilterProduct:
+class TestFilterForward:
     @pytest.mark.parametrize("arch", FILTER_ARCHS)
     def test_step_reads_no_whole_graph_product(self, arch, monkeypatch):
         spec, ops, x, labels, w = instance(arch)
@@ -202,14 +202,6 @@ class TestLazyFilterProduct:
         evaluate(spec, ops, x, labels, Split(np.arange(10), np.arange(10, 28)),
                  w, cache=cache)
         assert len(calls) == 1
-
-    def test_explicit_entries_are_kept(self):
-        spec, ops, x, _, w = instance("gprgnn")
-        cache = forward(spec, ops, x, w)
-        mine = np.full((ops.n, 3), 1.0 / 3.0)
-        cache.probs = mine
-        assert cache.logits.shape == (ops.n, 3)
-        assert cache.probs is mine
 
     def test_in_place_change_of_w_after_forward(self):
         spec, ops, x, _, w = instance("gprgnn")

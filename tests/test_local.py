@@ -66,15 +66,15 @@ def ring_ops(depth=6):
                    make_spec("gcnii", depth))
 
 
-class TestBall:
-    def test_ring_ball_sizes(self):
+class TestRowSets:
+    def test_ring_row_set_sizes(self):
         sets, _ = ring_ops().row_sets(np.array([0]))
         for l, rows in enumerate(sets):
             hops = 6 - l
             expect = sorted({(k % RING) for k in range(-hops, hops + 1)})
             assert rows.tolist() == expect
 
-    def test_ball_stops_growing_before_the_last_hop(self):
+    def test_row_sets_stop_growing_before_the_last_hop(self):
         sets, _ = ring_ops().row_sets(np.array([RING + 1]))
         assert [rows.tolist() for rows in sets[:-1]] == [list(TRIANGLE)] * 6
         assert sets[-1].tolist() == [RING + 1]
@@ -117,7 +117,7 @@ class TestBall:
         assert np.array_equal(dense(link), p[0:RING:2])
 
 
-class TestRestrict:
+class TestRowSetForward:
     """Forward and gradients on the row sets of the drawn nodes only."""
 
     @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
@@ -158,7 +158,7 @@ class TestRestrict:
         with pytest.raises(ValueError, match="no logits"):
             grad_sample(spec, ops, x, w, 13, int(labels[13]), cache=cache)
 
-    def test_ball_depth_follows_the_architecture(self):
+    def test_plan_depth_follows_the_architecture(self):
         # the lowest set kept, S_u with u = x_hops(), is the (L - u)-hop ball
         sizes = {}
         for arch, depth in LOCAL_ARCHS:
@@ -277,7 +277,7 @@ class TestLocality:
             forward(spec, control, x, w)
 
 
-class TestRunSgdOnBalls:
+class TestRunSgdOnRowSets:
     @pytest.mark.parametrize("arch,depth", LOCAL_ARCHS)
     @pytest.mark.parametrize("batch", [1, 2])
     def test_trace_matches_whole_graph_loop(self, arch, depth, batch):

@@ -5,8 +5,8 @@ from transgap.activations import ActivationSpec, act_eval
 from transgap.datasets import sbm_bundle
 from transgap.experiments import MODEL_CHOICES, model_spec_for
 from transgap.graphs import build_graph, normalized_adjacency
-from transgap.models import (ModelSpec, PropOps, forward, init_params,
-                             layout_for, node_loss, preactivations,
+from transgap.models import (ModelSpec, PropOps, cross_entropy, forward,
+                             init_params, layout_for, preactivations,
                              softmax_xent)
 
 Q2 = ActivationSpec(q=2.0)
@@ -188,7 +188,7 @@ class TestForwardClosedForms:
                                    atol=1e-15)
         np.testing.assert_allclose(cache.zs[-1], third ** 2, atol=1e-15)
         np.testing.assert_allclose(cache.probs, 1 / 3, atol=1e-15)
-        assert node_loss(cache, 0, 0) == pytest.approx(np.log(3.0))
+        assert cross_entropy(cache.probs[0, 0]) == pytest.approx(np.log(3.0))
 
     def test_sgc_triangle(self):
         spec = ModelSpec(arch="sgc", d=3, h=3, num_classes=3, activation=Q2)
@@ -197,7 +197,7 @@ class TestForwardClosedForms:
         np.testing.assert_allclose(cache.logits, np.full((3, 3), 1 / 3),
                                    atol=1e-15)
         np.testing.assert_allclose(cache.probs, 1 / 3, atol=1e-15)
-        assert node_loss(cache, 1, 2) == pytest.approx(np.log(3.0))
+        assert cross_entropy(cache.probs[1, 2]) == pytest.approx(np.log(3.0))
 
     def test_gcnii_reduces_to_plain_stack(self):
         """alpha=0, beta=1 turns every layer into sigma(P H W)."""

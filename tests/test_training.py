@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from transgap.activations import ActivationSpec
+from transgap.bounds import initial_bounds
 from transgap.datasets import Split, make_split, sbm_bundle
 from transgap.gradients import grad_mean, grad_sample
 from transgap.graphs import build_graph, normalized_adjacency
 from transgap.models import (ForwardCache, ModelSpec, PropOps, forward,
-                             init_params)
+                             init_params, loss_sample)
 from transgap.training import (LrSchedule, SgdConfig, TrainTrace, evaluate,
                                gradient_gap, run_sgd, schedule_offset)
 
@@ -166,6 +167,22 @@ class TestEvaluate:
         assert gradient_gap(spec, ops, x, labels, split, w) <= 1e-14
 
 
+    @pytest.mark.parametrize("arch", ["gcn", "gcnii", "sgc", "appnp",
+                                      "gprgnn"])
+    def test_every_reader_gives_one_loss(self, arch):
+        """R_m, R_u and b_loss read the loss of ``loss_sample``: each side
+        is one whole-graph forward at w_1, so they agree bit for bit."""
+        spec, ops, x, labels, split = tiny_setup(arch=arch, n_blocks=(7, 6))
+        w1 = init_params(spec, 4)
+        losses = np.array([loss_sample(spec, ops, x, w1, i, int(labels[i]))
+                           for i in range(ops.n)])
+        r_m, r_u, _, _ = evaluate(spec, ops, x, labels, split, w1)
+        assert r_m == float(np.mean(losses[split.train_idx]))
+        assert r_u == float(np.mean(losses[split.test_idx]))
+        b_loss, _, _ = initial_bounds(spec, ops, x, labels, w1)
+        assert b_loss == float(losses.max())
+
+
 class TestGradientGap:
     def test_matches_per_sample_resummation(self):
         spec, ops, x, labels, split = tiny_setup(n_blocks=(4, 4))
@@ -220,6 +237,17 @@ class TestTraceCsv:
         back = TrainTrace.from_csv(trace.to_csv())
         assert back.to_csv() == trace.to_csv()
         assert [cp.t for cp in back.checkpoints] == [4, 8, 12]
+
+    def test_radius_is_unknown_when_read_back(self):
+        """The CSV holds ``dist`` at checkpoints only, not the max over
+        every step, so the read-back radius is nan; g_emp is a running max
+        and reads back whole."""
+        spec, ops, x, labels, split = tiny_setup(arch="appnp")
+        cfg = SgdConfig(big_t=30, seed=0, eval_every=10)
+        _, trace = run_sgd(spec, ops, x, labels, split, cfg)
+        back = TrainTrace.from_csv(trace.to_csv())
+        assert np.isnan(back.max_dist)
+        assert back.g_emp == trace.g_emp
 
 
 class TestCheckpointMemory:
