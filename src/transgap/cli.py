@@ -251,11 +251,12 @@ def _config_value(key: str, action: argparse.Action, value):
 
 def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
                   args: argparse.Namespace) -> argparse.Namespace:
-    """Apply --config JSON values under explicitly provided flags.
+    """Parse argv again with --config JSON values as the subcommand's
+    defaults, so a flag on the command line wins in any spelling.
 
     Each value is converted and checked like the same flag on the command
-    line.  A key that names a flag of another subcommand only is ignored; a
-    key that names no flag at all is a usage error.
+    line.  A key that names a flag of another subcommand only, or a global
+    flag, is ignored; a key that names no flag at all is a usage error.
     """
     if not args.config:
         return args
@@ -267,28 +268,38 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
         raise UsageError("bad --config file: expected a JSON object")
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    active = _flag_actions(parser) | _flag_actions(sub.choices[args.command])
-    known = set(active)
+    subparser = sub.choices[args.command]
+    active = _flag_actions(subparser)
+    known = set(_flag_actions(parser))
     for other in sub.choices.values():
         known.update(_flag_actions(other))
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            name = token.split("=")[0].lstrip("-").replace("-", "_")
-            if name in active:
-                explicit.add(active[name].dest)
     for key, value in cfg.items():
         name = key.lstrip("-").replace("-", "_")
         if name not in known:
             raise UsageError(f"--config key {key!r} names no flag")
         action = active.get(name)
-        if action is None or action.dest in explicit or action.dest == "config":
-            continue
-        setattr(args, action.dest, _config_value(key, action, value))
-    return args
+        if action is not None:
+            value = _config_value(key, action, value)
+            subparser.set_defaults(**{action.dest: value})
+    return parser.parse_args(argv)
+
+
+def _check_out(path: str, directory: bool) -> None:
+    """Reject an --out that cannot be written, before any work: a directory
+    where a file goes, a file where a directory goes, or a file among its
+    parents."""
+    out = Path(path).absolute()
+    if out.exists() and out.is_dir() != directory:
+        kind = ("a file, not a directory" if directory
+                else "a directory, not a file")
+        raise UsageError(f"--out {path}: is {kind}")
+    parent = next(p for p in out.parents if p.exists())
+    if not parent.is_dir():
+        raise UsageError(f"--out {path}: {parent} is not a directory")
 
 
 def cmd_gen(args) -> int:
+    _check_out(args.out, directory=True)
     with flag_errors():
         sizes = [int(s) for s in str(args.blocks).split(",") if s != ""]
         bundle = sbm_bundle(sizes, args.pin, args.pout, args.seed, d=args.d,
@@ -312,10 +323,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _constants(spec, ops, bundle, w1, c_w_override=None):
-    try:
+    with flag_errors():
         check_certified(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     return constants_report(spec, ops.p, bundle.x, w1,
                             stats=bundle.graph.degree_stats(),
                             c_w_override=c_w_override)
@@ -374,6 +383,8 @@ def cmd_analyze(args) -> int:
                          "constants divide by c_W; pin a positive value")
     if args.mu is not None and not 0.0 < args.mu < math.inf:
         raise UsageError("--mu must be positive and finite")
+    if args.out:
+        _check_out(args.out, directory=False)
     bundle = load_bundle(args.data, args.row_normalize)
     models = MODEL_CHOICES[:5] if args.compare else (args.model,)
     reports = [_analyze_one(bundle, args, m) for m in models]
@@ -392,6 +403,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out(args.out, directory=False)
     bundle = load_bundle(args.data, args.row_normalize)
     spec, ops, split, sgd = build_run(
         bundle, args.model, args, args.seed,
@@ -420,6 +432,7 @@ def cmd_train(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = experiment_config(args)
+    _check_out(args.out, directory=True)
     bundle = load_bundle(args.data, args.row_normalize)
     report = run_experiment(bundle, config, out_dir=args.out)
     for model, row in report.aggregate()["results"].items():

@@ -194,17 +194,14 @@ class PropagationMatrix:
         return self.to_scipy() @ x
 
 
-def build_graph(edges, n: int, on_self_loop: str = "reject") -> SparseGraph:
+def build_graph(edges, n: int) -> SparseGraph:
     """Build a symmetric, deduplicated, sorted CSR graph from edge pairs.
 
-    ``edges`` is an (m, 2) array or any iterable of (u, v) pairs.
-
-    ``on_self_loop`` is either "reject" (raise) or "ignore" (drop silently).
+    ``edges`` is an (m, 2) array or any iterable of (u, v) pairs; a
+    self-loop is rejected.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if on_self_loop not in ("reject", "ignore"):
-        raise ValueError("on_self_loop must be 'reject' or 'ignore'")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -213,10 +210,8 @@ def build_graph(edges, n: int, on_self_loop: str = "reject") -> SparseGraph:
             raise ValueError("edge index out of range")
         loops = edges[:, 0] == edges[:, 1]
         if loops.any():
-            if on_self_loop == "reject":
-                bad = edges[loops][0]
-                raise ValueError(f"self-loop ({bad[0]},{bad[0]}) rejected")
-            edges = edges[~loops]
+            bad = edges[loops][0]
+            raise ValueError(f"self-loop ({bad[0]},{bad[0]}) rejected")
     if edges.size == 0:
         return SparseGraph(n=n, row_ptr=np.zeros(n + 1, dtype=np.int64),
                            col_idx=np.zeros(0, dtype=np.int64))

@@ -512,14 +512,9 @@ def loss_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     return cross_entropy(forward(spec, ops, x, w).probs[i, label])
 
 
-def save_params(spec: ModelSpec, w: np.ndarray, path) -> None:
-    """Write w as raw little-endian float64 plus a JSON layout sidecar."""
-    layout = layout_for(spec)
-    if w.shape != (layout.dim,):
-        raise ValueError("parameter vector does not match the layout")
-    path = Path(path)
-    w.astype("<f8").tofile(path)
-    sidecar = {
+def _sidecar(layout: ParamLayout) -> dict:
+    """The JSON layout sidecar that describes a parameter file."""
+    return {
         "dtype": "<f8",
         "order": "columns",
         "dim": layout.dim,
@@ -527,18 +522,30 @@ def save_params(spec: ModelSpec, w: np.ndarray, path) -> None:
                    for (name, shape), off in zip(layout.blocks,
                                                  layout.offsets)],
     }
+
+
+def save_params(spec: ModelSpec, w: np.ndarray, path) -> None:
+    """Write w as raw little-endian float64 plus a JSON layout sidecar."""
+    layout = layout_for(spec)
+    if w.shape != (layout.dim,):
+        raise ValueError("parameter vector does not match the layout")
+    path = Path(path)
+    w.astype("<f8").tofile(path)
     path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True) + "\n")
+        json.dumps(_sidecar(layout), sort_keys=True) + "\n")
 
 
 def load_params(spec: ModelSpec, path) -> np.ndarray:
-    """Read a parameter vector written by save_params, validating the layout."""
+    """Read a parameter vector written by save_params.  The file's whole
+    sidecar must equal the spec's: dtype, order, dim, and each block's
+    name, shape and offset, so a layout of the same length is rejected."""
     layout = layout_for(spec)
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    if sidecar["dim"] != layout.dim:
-        raise ValueError(f"layout mismatch: file has dim {sidecar['dim']}, "
-                         f"spec needs {layout.dim}")
+    expected = _sidecar(layout)
+    if sidecar != expected:
+        raise ValueError(f"layout mismatch: file has {sidecar}, spec needs "
+                         f"{expected}")
     w = np.fromfile(path, dtype="<f8")
     if w.shape != (layout.dim,):
         raise ValueError("raw parameter file has the wrong length")

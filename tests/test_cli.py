@@ -139,6 +139,31 @@ class TestExitCodes:
         assert res.returncode == 0, res.stderr
         assert out.read_text()
 
+    @pytest.mark.parametrize("command,out,message", [
+        ("train", "dir", "is a directory, not a file"),
+        ("analyze", "dir", "is a directory, not a file"),
+        ("gen", "file", "is a file, not a directory"),
+        ("experiment", "file", "is a file, not a directory"),
+        ("train", "file/x.csv", "file is not a directory")])
+    def test_unwritable_out_is_usage_error_before_any_work(
+            self, command, out, message, bundle_dir, tmp_path, monkeypatch,
+            capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("run_sgd", "run_experiment", "sbm_bundle"):
+            monkeypatch.setattr(f"transgap.cli.{name}", no_work)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        flags = ([] if command == "gen"
+                 else ["--data", str(bundle_dir), "--T", "2"])
+        rc = main([command, *flags, "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith(f"usage error: --out {tmp_path / out}: ")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_gen_zero_feature_dimension(self, tmp_path):
         res = run_cli(["gen", "--blocks", "5,5", "--d", "0",
                        "--out", str(tmp_path / "g")], tmp_path)
@@ -596,3 +621,19 @@ class TestConfigMerge:
                               {"row-normalize": True, "T": "3"}, "--T", "2")
         assert rc == 0
         assert out.read_text().strip().splitlines()[-1].split(",")[0] == "2"
+
+    @pytest.mark.parametrize("spelling", [["--train", "0.5"],
+                                          ["--train-frac=0.5"]])
+    def test_any_flag_spelling_beats_config(self, bundle_dir, tmp_path,
+                                            spelling):
+        # argparse reads --train as a prefix of --train-frac
+        cfg = {"train_frac": 0.2, "T": 3}
+        rc, out = self._train(bundle_dir, tmp_path, cfg, *spelling)
+        assert rc == 0
+        got = out.read_bytes()
+        rc, out = self._train(bundle_dir, tmp_path, cfg, "--train-frac", "0.5")
+        assert rc == 0
+        assert got == out.read_bytes()
+        rc, out = self._train(bundle_dir, tmp_path, cfg)
+        assert rc == 0
+        assert got != out.read_bytes()

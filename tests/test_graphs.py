@@ -63,10 +63,6 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="self-loop"):
             build_graph([(1, 1)], 3)
 
-    def test_self_loop_ignored_on_request(self):
-        g = build_graph([(1, 1), (0, 1)], 3, on_self_loop="ignore")
-        assert g.edge_count == 1
-
     def test_duplicate_edges_collapse(self):
         g = build_graph([(0, 1), (0, 1), (1, 0)], 2)
         assert g.edge_count == 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,27 @@ class TestParamSerialization:
         other = ModelSpec(arch="sgc", d=3, h=5, num_classes=2, activation=Q2)
         with pytest.raises(ValueError, match="layout mismatch"):
             load_params(other, tmp_path / "w.bin")
+
+    def test_same_length_other_layout_rejected(self, tmp_path):
+        # blocks 4x6 and 6x2 against 6x4 and 4x3: both dim 36
+        from transgap.models import load_params, save_params
+        spec = ModelSpec(arch="gcn", d=4, h=6, num_classes=2, activation=Q2)
+        save_params(spec, init_params(spec, 0), tmp_path / "w.bin")
+        other = ModelSpec(arch="gcn", d=6, h=4, num_classes=3, activation=Q2)
+        assert layout_for(other).dim == layout_for(spec).dim == 36
+        with pytest.raises(ValueError, match="layout mismatch"):
+            load_params(other, tmp_path / "w.bin")
+
+    def test_edited_order_rejected(self, tmp_path):
+        from transgap.models import load_params, save_params
+        spec = ModelSpec(arch="gcn", d=4, h=6, num_classes=2, activation=Q2)
+        save_params(spec, init_params(spec, 0), tmp_path / "w.bin")
+        sidecar_path = tmp_path / "w.bin.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["order"] = "rows"
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="layout mismatch"):
+            load_params(spec, tmp_path / "w.bin")
 
 
 class TestLayouts:
