@@ -43,17 +43,25 @@ class ActivationSpec:
         return self.t - self.t ** self.q
 
 
-def act_eval(a: ActivationSpec, x: np.ndarray) -> np.ndarray:
+def act_eval(a: ActivationSpec, x: np.ndarray, deriv: np.ndarray | None = None,
+             out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
     """Elementwise activation value, clip(x, 0, t)^q + max(x - t, 0).
 
     Beyond the knee t^q equals c, so this is the shifted identity there.
-    Branch-free and computed in place in two arrays (max(x, 0) - clip(x, 0,
-    t) is max(x - t, 0) exactly); 0-d input gives a 0-d array.
+    Branch-free and computed in place in two arrays, ``out`` and ``tmp``
+    (new ones when not given; max(x, 0) - clip(x, 0, t) is max(x - t, 0)
+    exactly); 0-d input gives a 0-d array.  Given an array ``deriv``, which
+    may be ``x`` itself, it also writes sigma' there from the same clip, by
+    ``act_deriv``'s operations: seven passes over the elements, not nine.
     """
     x = np.asarray(x, dtype=np.float64)
-    tail = np.maximum(x, 0.0, out=np.empty_like(x))
-    out = np.minimum(tail, a.t, out=np.empty_like(x))
+    tail = np.maximum(x, 0.0, out=np.empty_like(x) if tmp is None else tmp)
+    out = np.minimum(tail, a.t, out=np.empty_like(x) if out is None else out)
     tail -= out
+    if deriv is not None:  # x is read no more
+        np.divide(out, a.t, out=deriv)
+        deriv **= a.q - 1.0
     out **= a.q
     out += tail
     return out

@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of flag values; explicit flags win "
                              "(default: None)")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                action=_ConfiguredSubcommand)
 
     g = sub.add_parser("gen", help="generate a planted-partition bundle")
     g.add_argument("--blocks", type=str, default="50,50",
@@ -249,26 +250,24 @@ def _config_value(key: str, action: argparse.Action, value):
     return out
 
 
-def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
-                  args: argparse.Namespace) -> argparse.Namespace:
-    """Parse argv again with --config JSON values as the subcommand's
-    defaults, so a flag on the command line wins in any spelling.
+def _apply_config(parser: argparse.ArgumentParser,
+                  sub: argparse._SubParsersAction, command: str,
+                  path: str) -> None:
+    """Make the --config file's values the defaults of ``command``'s parser.
 
     Each value is converted and checked like the same flag on the command
-    line.  A key that names a flag of another subcommand only, or a global
-    flag, is ignored; a key that names no flag at all is a usage error.
+    line, and a value for a required flag (such as --data) lifts the
+    requirement.  A key that names a flag of another subcommand only, or a
+    global flag, is ignored; a key that names no flag at all is a usage
+    error.
     """
-    if not args.config:
-        return args
     try:
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad --config file: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("bad --config file: expected a JSON object")
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    subparser = sub.choices[args.command]
+    subparser = sub.choices[command]
     active = _flag_actions(subparser)
     known = set(_flag_actions(parser))
     for other in sub.choices.values():
@@ -280,8 +279,21 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
         action = active.get(name)
         if action is not None:
             value = _config_value(key, action, value)
+            action.required = False
             subparser.set_defaults(**{action.dest: value})
-    return parser.parse_args(argv)
+
+
+class _ConfiguredSubcommand(argparse._SubParsersAction):
+    """The subcommand action, which applies --config (``_apply_config``)
+    before it parses the subcommand's flags.  --config comes before the
+    subcommand, so the one parse has read it by then: the config's values
+    are in place when the parse checks required flags, and a flag on the
+    command line wins in any spelling."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if namespace.config and values[0] in self.choices:
+            _apply_config(parser, self, values[0], namespace.config)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _check_out(path: str, directory: bool) -> None:
@@ -494,17 +506,16 @@ def cmd_gradcheck(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.command is None:
-        parser.print_help()
-        return EXIT_USAGE
     handlers = {"gen": cmd_gen, "analyze": cmd_analyze, "train": cmd_train,
                 "experiment": cmd_experiment, "gradcheck": cmd_gradcheck}
     try:
-        args = _merge_config(parser, argv, args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
+        if args.command is None:
+            parser.print_help()
+            return EXIT_USAGE
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .activations import ActivationSpec, act_deriv, act_eval
+from .activations import ActivationSpec, act_eval
 from .graphs import (FILTER_MATERIALIZE_LIMIT, PropagationMatrix, appnp_apply,
                      appnp_coefficients, appnp_filter, gpr_powers,
                      scipy_sparse)
@@ -363,6 +363,40 @@ class ForwardCache:
         self.__dict__.update(kw)
 
 
+class Buffers:
+    """The n x h and n x c arrays one ``run_sgd`` call creates once and
+    lends to every forward and backward it runs, so that no checkpoint
+    allocates them again and no step adds to them.  Three groups, after
+    ``ForwardCache``: ``sps`` holds one array per pre-activation, which
+    becomes its sigma'; ``keep`` the other arrays a forward keeps and does
+    not get from a sparse product (gcnii's top hidden state, sgc's P^2 X
+    W1, the MLP outputs of appnp and gprgnn, and but for those two the
+    logits); and ``tmp`` the scratch of the activations and the backward
+    passes.  gcn's activation scratch and gcnii's first backward product
+    stay new arrays: lent, either would sit idle at its pass's peak.  A
+    cache made from the buffers is valid only until the next forward given
+    them.  A pass on k < n rows takes views of their first k rows
+    (``lend``).
+    """
+
+    def __init__(self, spec: ModelSpec, n: int):
+        h, c, depth = spec.h, spec.num_classes, spec.depth
+        sps, keep, tmp = {
+            "gcn": ([h] * (depth - 1), [c], [h]),
+            "sgc": ([], [h, c], [h]),
+            "gcnii": ([h] * (depth + 1), [h, c], [h, h]),
+        }.get(spec.arch, ([h, c], [h, c], [h, c]))
+        self.groups = {name: [np.empty((n, width)) for width in widths]
+                       for name, widths in (("sps", sps), ("keep", keep),
+                                            ("tmp", tmp))}
+
+
+def lend(buf: Buffers | None, group: str, k: int, rows: int):
+    """The first ``rows`` rows of array k of a ``Buffers`` group, as an
+    ``out`` argument; None without buffers, so numpy allocates."""
+    return None if buf is None else buf.groups[group][k][:rows]
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted stable softmax along the last axis."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -399,25 +433,35 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise FloatingPointError(f"non-finite values in {where}")
 
 
-def _activate(act: ActivationSpec, pre: np.ndarray, sps: list) -> np.ndarray:
-    """sigma(pre); sigma'(pre) overwrites ``pre``, a fresh product, and is
-    appended to ``sps``.  In a new array it left a hole in glibc's heap: a
-    6000-node gcnii ``train`` peaked one n x h array (3 MB) higher."""
-    out = act_eval(act, pre)
-    pre[...] = act_deriv(act, pre)
+def _activate(act: ActivationSpec, a: np.ndarray, b: np.ndarray, sps: list,
+              buf: Buffers | None, out: tuple | None,
+              tmp: tuple | None) -> np.ndarray:
+    """sigma(a @ b).  The product goes to the next ``sps`` buffer, where
+    sigma' overwrites it, and is appended to ``sps``; sigma goes to the
+    buffer ``out``, and the activation's scratch to ``tmp``, each a (group,
+    k) of ``buf`` or None.  Without buffers all three are new arrays.
+    sigma' in an array of its own left a hole in glibc's heap: a 6000-node
+    gcnii ``train`` peaked one n x h array (3 MB) higher."""
+    rows = a.shape[0]
+    pre = np.matmul(a, b, out=lend(buf, "sps", len(sps), rows))
+    out = act_eval(act, pre, deriv=pre, out=out and lend(buf, *out, rows),
+                   tmp=tmp and lend(buf, *tmp, rows))
     sps.append(pre)
     return out
 
 
 def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
-            rows: np.ndarray | None = None) -> ForwardCache:
+            rows: np.ndarray | None = None,
+            buf: Buffers | None = None) -> ForwardCache:
     """Forward pass that caches every gradient intermediate.
 
     gcn, sgc and gcnii run each layer on the row set that the logits of
     the nodes ``rows`` read (every node for None; see ``PropOps.row_sets``).
     appnp and gprgnn compute the node-wise MLP on every node; with ``rows``
     they stop there, since a step's gradient reads one filter row
-    (``grad_sample``), and without they form every node's logits.
+    (``grad_sample``), and without they form every node's logits.  With
+    ``buf`` its products, activations and scratch go to those
+    ``Buffers``; sparse products are new arrays.
     """
     if x.shape != (ops.n, spec.d):
         raise ValueError(f"X has shape {x.shape}, expected {(ops.n, spec.d)}")
@@ -429,8 +473,8 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
 
     sps = []
     if spec.arch in ("appnp", "gprgnn"):
-        s1 = _activate(act, x @ mats["W1"], sps)
-        h = _activate(act, s1 @ mats["W2"], sps)
+        s1 = _activate(act, x, mats["W1"], sps, buf, ("keep", 0), ("tmp", 0))
+        h = _activate(act, s1, mats["W2"], sps, buf, ("keep", 1), ("tmp", 1))
         _check_finite(h, f"{spec.arch} MLP output")
         if spec.arch == "appnp":
             gamma = appnp_coefficients(spec.gamma, spec.big_k)
@@ -449,30 +493,36 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     if spec.arch == "gcn":
         zs = [z]
         for l in range(1, spec.depth):
-            zs.append(ops.propagate_link(
-                links[l + 1], _activate(act, zs[-1] @ mats[f"W{l}"], sps)))
-        logits = zs[-1] @ mats[f"W{spec.depth}"]
+            zs.append(ops.propagate_link(links[l + 1], _activate(
+                act, zs[-1], mats[f"W{l}"], sps, buf, ("tmp", 0), None)))
+        logits = np.matmul(zs[-1], mats[f"W{spec.depth}"],
+                           out=lend(buf, "keep", 0, len(zs[-1])))
         cache.zs = zs
     elif spec.arch == "sgc":
-        zw1 = z @ mats["W1"]
-        logits = zw1 @ mats["W2"]
+        zw1 = np.matmul(z, mats["W1"], out=lend(buf, "keep", 0, len(z)))
+        logits = np.matmul(zw1, mats["W2"], out=lend(buf, "keep", 1, len(z)))
         cache.z, cache.zw1 = z, zw1
     elif spec.arch == "gcnii":
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
-        h0 = h = _activate(act, z @ mats["W0"], sps)
+        # H_0 sits in tmp 0 until the top layer; each H_l overwrites keep 0
+        # once the next layer has propagated it
+        h0 = h = _activate(act, z, mats["W0"], sps, buf, ("tmp", 0),
+                           ("tmp", 1))
         aggs, psis = [], []
         for l in range(1, spec.depth + 1):
             a_l, b_l = alphas[l - 1], betas[l - 1]
             agg = ops.propagate_link(links[l], h)
             agg *= 1.0 - a_l
-            agg += a_l * h0[positions(sets[0], sets[l])]
+            agg += np.multiply(a_l, h0[positions(sets[0], sets[l])],
+                               out=lend(buf, "tmp", 1, len(agg)))
             # C order: BLAS takes another path, and other bytes, for F
             psi = np.multiply(b_l, mats[f"W{l}"], order="C")
             psi.flat[::spec.h + 1] += 1.0 - b_l
-            h = _activate(act, agg @ psi, sps)
+            h = _activate(act, agg, psi, sps, buf, ("keep", 0), ("tmp", 1))
             aggs.append(agg)
             psis.append(psi)
-        logits = h @ mats[f"W{spec.depth + 1}"]
+        logits = np.matmul(h, mats[f"W{spec.depth + 1}"],
+                           out=lend(buf, "keep", 1, len(h)))
         cache.h_top, cache.aggs, cache.psis = h, aggs, psis
 
     _check_finite(logits, f"{spec.arch} logits")

@@ -18,8 +18,8 @@ import numpy as np
 
 from .datasets import Split
 from .gradients import grad_mean, grad_sample
-from .models import (ForwardCache, ModelSpec, PropOps, cross_entropy, forward,
-                     init_params, layout_for)
+from .models import (Buffers, ForwardCache, ModelSpec, PropOps, cross_entropy,
+                     forward, init_params, layout_for)
 from .rng import stream
 
 CSV_HEADER = "t,R_m,R_u,acc_m,acc_u,grad_gap,dist,g_emp"
@@ -143,18 +143,21 @@ def evaluate(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
 
 def gradient_gap(spec: ModelSpec, ops: PropOps, x: np.ndarray,
                  labels: np.ndarray, split: Split, w: np.ndarray,
-                 cache: ForwardCache | None = None) -> float:
+                 cache: ForwardCache | None = None,
+                 buf: Buffers | None = None) -> float:
     """2-norm of (mean train gradient - mean test gradient).
 
     One backward pass over the signed errors: train rows weigh 1/m, test
     rows -1/u.  The two sets are disjoint, so no row mixes both signs.
+    ``buf`` lends the pass its scratch (``grad_mean``).
     """
     if cache is None:
-        cache = forward(spec, ops, x, w)
+        cache = forward(spec, ops, x, w, buf=buf)
     idx = np.concatenate([split.train_idx, split.test_idx])
     weights = np.concatenate([np.full(split.m, 1.0 / split.m),
                               np.full(split.u, -1.0 / split.u)])
-    g = grad_mean(spec, ops, x, w, idx, labels, cache=cache, weights=weights)
+    g = grad_mean(spec, ops, x, w, idx, labels, cache=cache, weights=weights,
+                  buf=buf)
     return float(np.linalg.norm(g))
 
 
@@ -212,6 +215,10 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     Checkpoints always evaluate the whole graph, and their forward is
     where appnp and gprgnn form it.
 
+    The call creates one set of ``Buffers`` and lends it to every forward
+    and backward it runs, steps and checkpoints alike: a step on row sets
+    takes views of their first rows.
+
     Deterministic given (inputs, config.seed).  Aborts with a diagnostic if a
     checkpoint loss turns non-finite.
     """
@@ -229,16 +236,17 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     train = split.train_idx
     g_emp = 0.0
     max_dist = 0.0
+    buf = Buffers(spec, ops.n)
 
     for t in range(1, config.big_t + 1):
         eta = config.schedule.eta(t)
         picks = train[draw.integers(0, split.m, size=config.batch_size)]
-        cache = forward(spec, ops, x, w, picks)
+        cache = forward(spec, ops, x, w, picks, buf=buf)
         gsum = np.zeros(layout.dim)
         sqrt_eta = np.sqrt(eta)
         for j in picks:
             g_j = grad_sample(spec, ops, x, w, int(j), int(labels[j]),
-                              cache=cache)
+                              cache=cache, buf=buf)
             gsum += g_j
             g_emp = max(g_emp, sqrt_eta * float(np.linalg.norm(g_j)))
         del cache  # a checkpoint forward must not find it alive
@@ -253,13 +261,14 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
         max_dist = max(max_dist, dist)
 
         if t % config.eval_every == 0 or t == config.big_t:
-            cache = forward(spec, ops, x, w)
+            cache = forward(spec, ops, x, w, buf=buf)
             r_m, r_u, acc_m, acc_u = evaluate(spec, ops, x, labels, split, w,
                                               cache=cache)
             if not (np.isfinite(r_m) and np.isfinite(r_u)):
                 raise FloatingPointError(
                     f"non-finite loss at step {t}: R_m={r_m}, R_u={r_u}")
-            gap = gradient_gap(spec, ops, x, labels, split, w, cache=cache)
+            gap = gradient_gap(spec, ops, x, labels, split, w, cache=cache,
+                               buf=buf)
             del cache  # nor may the next step's forward find this one
             trace.checkpoints.append(Checkpoint(
                 t=t, r_m=r_m, r_u=r_u, acc_m=acc_m, acc_u=acc_u,

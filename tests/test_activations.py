@@ -146,3 +146,42 @@ class TestBranchFreeFormula:
             assert float(act_deriv(a, x)) == pytest.approx(
                 float(_where_deriv(a, x)), abs=1e-15)
             assert np.shape(act_eval(a, x)) == ()
+
+
+class TestFusedDerivative:
+    """``act_eval(a, x, deriv=...)`` writes sigma' from the same clip by
+    ``act_deriv``'s operations: both must match the oracles bit for bit,
+    signed zeros included, with ``deriv`` a separate array or ``x``."""
+
+    @staticmethod
+    def grid(a):
+        t = a.t
+        points = [0.0, -0.0, 1e-300, -1e-300, -1.0, -0.5 * t, -1e300,
+                  t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                  0.5 * t, 2.0 * t, 1e300, np.inf, -np.inf]
+        return np.array(points * 4).reshape(-1, 4)
+
+    @staticmethod
+    def same_bits(got, want):
+        return (np.array_equal(got, want)
+                and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0])
+    def test_separate_array(self, q):
+        a = ActivationSpec(q=q)
+        x = self.grid(a)
+        deriv = np.empty_like(x)
+        value = act_eval(a, x, deriv=deriv)
+        assert self.same_bits(value, act_eval(a, x))
+        assert self.same_bits(deriv, act_deriv(a, x))
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0])
+    def test_in_place_with_lent_arrays(self, q):
+        a = ActivationSpec(q=q)
+        x = self.grid(a)
+        want_value, want_deriv = act_eval(a, x), act_deriv(a, x)
+        out, tmp = np.full_like(x, np.nan), np.full_like(x, np.nan)
+        value = act_eval(a, x, deriv=x, out=out, tmp=tmp)
+        assert value is out
+        assert self.same_bits(value, want_value)
+        assert self.same_bits(x, want_deriv)

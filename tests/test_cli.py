@@ -570,6 +570,22 @@ class TestConfigMerge:
         last_t = out.read_text().strip().splitlines()[-1].split(",")[0]
         assert last_t == "3"
 
+    def test_config_supplies_required_flags(self, bundle_dir, tmp_path):
+        # the parse checks --data and --out after the config is applied
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "t.csv"
+        cfg_path.write_text(json.dumps({"data": str(bundle_dir), "T": 2}))
+        assert main(["--config", str(cfg_path), "train", "--out",
+                     str(out)]) == 0
+        assert out.read_text().strip().splitlines()[-1].split(",")[0] == "2"
+        cfg_path.write_text(json.dumps({"data": str(bundle_dir),
+                                        "out": str(out), "T": 3}))
+        assert main(["--config", str(cfg_path), "train"]) == 0
+        assert out.read_text().strip().splitlines()[-1].split(",")[0] == "3"
+        cfg_path.write_text(json.dumps({"T": 2}))
+        assert main(["--config", str(cfg_path), "train", "--out",
+                     str(out)]) == 1
+
     def test_bad_config_is_usage_error(self, bundle_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{broken")

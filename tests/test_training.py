@@ -8,8 +8,8 @@ from transgap.bounds import initial_bounds
 from transgap.datasets import Split, make_split, sbm_bundle
 from transgap.gradients import grad_mean, grad_sample
 from transgap.graphs import build_graph, normalized_adjacency
-from transgap.models import (ForwardCache, ModelSpec, PropOps, forward,
-                             init_params, loss_sample)
+from transgap.models import (ARCHITECTURES, Buffers, ForwardCache, ModelSpec,
+                             PropOps, forward, init_params, loss_sample)
 from transgap.training import (LrSchedule, SgdConfig, TrainTrace, evaluate,
                                gradient_gap, run_sgd, schedule_offset)
 
@@ -250,6 +250,46 @@ class TestTraceCsv:
         assert back.g_emp == trace.g_emp
 
 
+class TestBuffers:
+    """Passes given a run's ``Buffers`` make the bytes that passes on new
+    arrays make, on every node and on row sets (views of first rows)."""
+
+    @pytest.mark.parametrize("arch,depth", [
+        ("gcn", 2), ("gcn", 4), ("sgc", 2), ("gcnii", 2), ("gcnii", 4),
+        ("appnp", 2), ("gprgnn", 2)])
+    def test_lent_passes_match_new_arrays(self, arch, depth):
+        bundle = sbm_bundle([20, 20], 0.2, 0.03, seed=4, d=5)
+        spec = ModelSpec(arch=arch, d=5, h=6, num_classes=2, activation=Q2,
+                         big_k=3, depth=depth)
+        ops = PropOps(normalized_adjacency(bundle.graph), spec)
+        x, labels = bundle.x, bundle.labels
+        w = init_params(spec, 3)
+        buf = Buffers(spec, ops.n)
+        idx = np.arange(0, ops.n, 3)
+
+        want = forward(spec, ops, x, w)
+        g_want = grad_mean(spec, ops, x, w, idx, labels, cache=want)
+        got = forward(spec, ops, x, w, buf=buf)
+        assert np.array_equal(got.probs, want.probs)
+        assert np.array_equal(
+            grad_mean(spec, ops, x, w, idx, labels, cache=got, buf=buf),
+            g_want)
+        for i in (0, 17):
+            assert np.array_equal(
+                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=got,
+                            buf=buf),
+                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=want))
+
+        rows = np.array([5, 11])
+        want = forward(spec, ops, x, w, rows)
+        got = forward(spec, ops, x, w, rows, buf=buf)
+        for i in rows:
+            assert np.array_equal(
+                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=got,
+                            buf=buf),
+                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=want))
+
+
 class TestCheckpointMemory:
     """Traced peak memory of whole-graph passes on a 1000-node graph, in
     units of one n x h float64 array.
@@ -314,3 +354,35 @@ class TestCheckpointMemory:
                         schedule=LrSchedule(c=1.0, t0=10.0))
         assert self.traced_peak(
             lambda: run_sgd(spec, ops, x, labels, split, cfg)) < 6.0
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_run_sgd_buffers_stay_bounded(self, graph, arch):
+        # a run's buffers are a fixed set: ten times the steps and
+        # checkpoints may not raise the peak by an array (as buffers keyed
+        # by a step's row count would)
+        spec, ops, x, labels, split, _ = self.setup_run(graph, arch=arch)
+
+        def peak(big_t):
+            cfg = SgdConfig(big_t=big_t, seed=0, eval_every=2,
+                            schedule=LrSchedule(c=1.0, t0=10.0))
+            return self.traced_peak(
+                lambda: run_sgd(spec, ops, x, labels, split, cfg))
+
+        short = peak(4)
+        assert abs(peak(40) - short) <= 1.0
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_run_sgd_leaves_an_unbuffered_cache_alone(self, graph, arch):
+        spec, ops, x, labels, split, w = self.setup_run(graph, arch=arch)
+        cache = forward(spec, ops, x, w)
+        arrays = {name: [a for a in (v if isinstance(v, list) else [v])
+                         if isinstance(a, np.ndarray)]
+                  for name, v in vars(cache).items()}
+        before = {name: [a.copy() for a in arrs]
+                  for name, arrs in arrays.items()}
+        cfg = SgdConfig(big_t=4, seed=0, eval_every=1,
+                        schedule=LrSchedule(c=1.0, t0=10.0))
+        run_sgd(spec, ops, x, labels, split, cfg)
+        for name, arrs in arrays.items():
+            for got, want in zip(arrs, before[name]):
+                assert np.array_equal(got, want), name
