@@ -37,6 +37,16 @@ def concentration_terms(m: int, u: int) -> tuple[float, float, float]:
     return q, s, C0
 
 
+def complexity_terms(m: int, u: int, dim: int, l_f: float, radius: float,
+                     b_loss: float) -> tuple[float, float]:
+    """(initial-loss term, Dudley covering term); the latter is 0 at radius
+    0 whatever L_F is, since a ball of radius 0 holds one function."""
+    scale = (m + u) ** 1.5 / (m * u)
+    dudley = (0.0 if radius == 0.0 else
+              12.0 * scale * math.sqrt(dim) * DUDLEY_FACTOR * l_f * radius)
+    return b_loss * scale, dudley
+
+
 def complexity_upper(m: int, u: int, dim: int, l_f: float, radius: float,
                      b_loss: float) -> float:
     """Closed-form complexity bound: initial-loss term plus covering term."""
@@ -45,8 +55,7 @@ def complexity_upper(m: int, u: int, dim: int, l_f: float, radius: float,
     for name, v in (("l_f", l_f), ("radius", radius), ("b_loss", b_loss)):
         if v < 0.0:
             raise ValueError(f"{name} must be nonnegative")
-    scale = (m + u) ** 1.5 / (m * u)
-    return b_loss * scale + 12.0 * scale * math.sqrt(dim) * DUDLEY_FACTOR * l_f * radius
+    return sum(complexity_terms(m, u, dim, l_f, radius, b_loss))
 
 
 def rate_class(alpha: float) -> str:
@@ -151,10 +160,8 @@ class BoundReport:
 def gap_certificate(inputs: BoundInputs) -> BoundReport:
     """Assemble the four-term certificate and the rate surrogate."""
     q, s, c0 = concentration_terms(inputs.m, inputs.u)
-    scale = (inputs.m + inputs.u) ** 1.5 / (inputs.m * inputs.u)
-    trc = inputs.b_loss * scale
-    dudley = (12.0 * scale * math.sqrt(inputs.dim) * DUDLEY_FACTOR
-              * inputs.l_f * inputs.radius)
+    trc, dudley = complexity_terms(inputs.m, inputs.u, inputs.dim,
+                                   inputs.l_f, inputs.radius, inputs.b_loss)
     conc1 = c0 * q * math.sqrt(min(inputs.m, inputs.u))
     conc2 = math.sqrt(s * q / 2.0 * math.log(2.0 / inputs.delta))
     return BoundReport(trc_term=trc, dudley_term=dudley, conc_term_1=conc1,

@@ -26,8 +26,9 @@ from .datasets import (BundleFormatError, load_bundle, row_normalize,
                        sbm_bundle, save_bundle)
 from .experiments import (MODEL_CHOICES, REPORT_SCHEMA, UsageError,
                           build_model, build_run, canonical_json,
-                          default_schedule, experiment_config, flag_errors,
-                          run_experiment, theory_offset)
+                          check_model_flags, default_schedule,
+                          experiment_config, flag_errors, run_experiment,
+                          theory_offset)
 from .gradients import fd_gradient, grad_sample, max_relative_error
 from .graphs import normalized_adjacency, sbm_generate
 from .models import forward, init_params, kink_distance, layout_for
@@ -399,6 +400,7 @@ def cmd_analyze(args) -> int:
         _check_out(args.out, directory=False)
     bundle = load_bundle(args.data, args.row_normalize)
     models = MODEL_CHOICES[:5] if args.compare else (args.model,)
+    check_model_flags(models, bundle, args)
     reports = [_analyze_one(bundle, args, m) for m in models]
     reports.sort(key=lambda r: r["constants"]["L_F"])
     text = canonical_json({"schema": REPORT_SCHEMA, "compare": reports})

@@ -89,6 +89,15 @@ def build_model(name: str, graph: SparseGraph, d: int, num_classes: int,
         return spec, PropOps(normalized_adjacency(graph), spec)
 
 
+def check_model_flags(models, bundle: DatasetBundle, flags) -> None:
+    """Build every listed model's spec from the MODEL_FLAGS, so that a value
+    one of them rejects is a usage error before the first run."""
+    with flag_errors():
+        for name in models:
+            model_spec_for(name, bundle.d, bundle.num_classes,
+                           **{k: getattr(flags, k) for k in MODEL_FLAGS})
+
+
 def build_run(bundle: DatasetBundle, model: str, flags, seed: int,
               schedule: LrSchedule, batch_size: int | None, eval_every: int,
               weight_decay: float = 0.0):
@@ -259,6 +268,7 @@ class GapReport:
 def run_experiment(bundle: DatasetBundle, config: ExperimentConfig,
                    out_dir=None) -> GapReport:
     """All (model, seed) runs, optional trace/curve emission to out_dir."""
+    check_model_flags(config.models, bundle, config)
     jobs = [(model, seed) for model in config.models for seed in config.seeds]
     workers = pool_size()
     if workers > 1 and len(jobs) > 1:

@@ -19,32 +19,31 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import gpr_powers
-from .models import (ALL, Buffers, ForwardCache, ModelSpec, PropOps, forward,
+from .models import (ALL, ForwardCache, ModelSpec, PropOps, forward,
                      layout_for, lend, logit_error, loss_sample, positions,
                      softmax_rows)
 
 
 def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
-                i: int, label: int, cache: ForwardCache | None = None,
-                buf: Buffers | None = None) -> np.ndarray:
+                i: int, label: int,
+                cache: ForwardCache | None = None) -> np.ndarray:
     """Gradient of the cross-entropy at node i w.r.t. the flat parameters,
     from a forward over every node or for rows that hold node i (without
     ``cache``, for node i alone).  appnp and gprgnn read only the MLP of
-    either forward and build node i's logits from its filter row.  ``buf``
-    lends the backward its scratch (``_backward``)."""
+    either forward and build node i's logits from its filter row."""
     if cache is None:
-        cache = forward(spec, ops, x, w, np.array([i]), buf=buf)
+        cache = forward(spec, ops, x, w, np.array([i]))
     if spec.arch in ("appnp", "gprgnn"):
-        return _filter_row_grad(spec, ops, x, w, cache, i, label, buf)
+        return _filter_row_grad(spec, ops, x, w, cache, i, label)
     top = cache.sets[-1]
     if top is not ALL and i not in top:
         raise ValueError(f"node {i} has no logits in this forward")
     plan = ops.row_sets(np.array([i]))
     err = logit_error(cache.probs[positions(top, plan[0][-1])], label)
-    return _backward(spec, ops, x, w, cache, err, plan, buf)
+    return _backward(spec, ops, x, w, cache, err, plan)
 
 
-def _filter_row_grad(spec, ops, x, w, cache, i, label, buf=None):
+def _filter_row_grad(spec, ops, x, w, cache, i, label):
     """Per-sample backward of appnp / gprgnn from row i of the filter.
 
     Node i's logits are that row times the MLP output h (for gprgnn, the
@@ -64,23 +63,23 @@ def _filter_row_grad(spec, ops, x, w, cache, i, label, buf=None):
     err = logit_error(softmax_rows(logits), label)
     if spec.arch == "gprgnn":
         layout.view(g, "gamma")[...] = hop_logits @ err
-    dpre2 = np.multiply(row[:, None], cache.sps[1],
-                        out=lend(buf, "tmp", 1, row.size))
+    dpre2 = row[:, None] * cache.sps[1]
     dpre2 *= err
-    _mlp_backward(x, cache, layout, layout.matrices(w), g, dpre2, buf)
+    _mlp_backward(x, cache, layout, layout.matrices(w), g, dpre2)
     return g
 
 
-def _mlp_backward(x, cache, layout, mats, g, dpre2, buf):
+def _mlp_backward(x, cache, layout, mats, g, dpre2):
     """W2 and W1 blocks of the node-wise MLP of appnp / gprgnn from the
     error at its output pre-activation."""
     layout.view(g, "W2")[...] = cache.s1.T @ dpre2
-    dpre1 = np.matmul(dpre2, mats["W2"].T, out=lend(buf, "tmp", 0, len(dpre2)))
+    dpre1 = np.matmul(dpre2, mats["W2"].T,
+                      out=lend(cache.buf, "tmp", 0, len(dpre2)))
     dpre1 *= cache.sps[0]
     layout.view(g, "W1")[...] = x.T @ dpre1
 
 
-def _backward(spec, ops, x, w, cache, err, plan=None, buf=None):
+def _backward(spec, ops, x, w, cache, err, plan=None):
     """The gradient at w by each architecture's backward pass from ``err``.
 
     gcn, sgc and gcnii run them down ``plan`` (the forward's own row sets
@@ -88,9 +87,8 @@ def _backward(spec, ops, x, w, cache, err, plan=None, buf=None):
     inside the forward's: ``err`` holds one row for each node of its top
     set, and the errors at layer l sit on its set S_l.  appnp and gprgnn
     take every node and run the errors through the transposed filter, the
-    ``gpr_powers`` stack weighted by ``cache.gamma``.  ``buf``, the
-    ``Buffers`` of the forward or None, lends the dense products and
-    scratch their ``tmp`` arrays, which the forward keeps nothing in."""
+    ``gpr_powers`` stack weighted by ``cache.gamma``.  Its n x h products
+    and scratch go to the ``tmp`` arrays of ``cache.buf``, if any."""
     layout = layout_for(spec)
     mats = layout.matrices(w)
     g = np.zeros(layout.dim)
@@ -102,7 +100,7 @@ def _backward(spec, ops, x, w, cache, err, plan=None, buf=None):
         dstack = gpr_powers(ops.p, err, spec.big_k)
         dh = np.tensordot(cache.gamma, dstack, axes=(0, 0))
         dh *= cache.sps[1]
-        _mlp_backward(x, cache, layout, mats, g, dh, buf)
+        _mlp_backward(x, cache, layout, mats, g, dh)
         return g
     sets, links = plan or (cache.sets, cache.links)
 
@@ -115,19 +113,19 @@ def _backward(spec, ops, x, w, cache, err, plan=None, buf=None):
             layout.view(g, f"W{l}")[...] = cache.zs[l - 1][at(l)].T @ dpre
             if l > 1:
                 dpre = ops.propagate_link(links[l], np.matmul(
-                    dpre, mats[f"W{l}"].T, out=lend(buf, "tmp", 0, len(dpre))),
-                    transpose=True)
+                    dpre, mats[f"W{l}"].T,
+                    out=lend(cache.buf, "tmp", 0, len(dpre))), transpose=True)
                 dpre *= cache.sps[l - 2][at(l - 1)]
     elif spec.arch == "sgc":
         layout.view(g, "W2")[...] = cache.zw1[at(2)].T @ err
         layout.view(g, "W1")[...] = cache.z[at(2)].T @ np.matmul(
-            err, mats["W2"].T, out=lend(buf, "tmp", 0, len(err)))
+            err, mats["W2"].T, out=lend(cache.buf, "tmp", 0, len(err)))
     else:  # gcnii
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
         layout.view(g, f"W{depth + 1}")[...] = cache.h_top[at(depth)].T @ err
         dh = err @ mats[f"W{depth + 1}"].T  # new: no lent array is free
         x0 = x[sets[0]]
-        dh0 = lend(buf, "tmp", 0, len(x0))  # the error at H0, on S_0
+        dh0 = lend(cache.buf, "tmp", 0, len(x0))  # the error at H0, on S_0
         if dh0 is None:
             dh0 = np.zeros((len(x0), spec.h))
         else:
@@ -140,7 +138,7 @@ def _backward(spec, ops, x, w, cache, err, plan=None, buf=None):
             layout.view(g, f"W{l}")[...] = betas[l - 1] * (
                 cache.aggs[l - 1][at(l)].T @ dh)
             dagg = np.matmul(dh, cache.psis[l - 1].T,
-                             out=lend(buf, "tmp", 1, len(dh)))
+                             out=lend(cache.buf, "tmp", 1, len(dh)))
             dh0[positions(sets[0], sets[l])] += np.multiply(
                 alphas[l - 1], dagg, out=dh)
             del dh  # before the sparse product makes the next one
@@ -155,25 +153,22 @@ def _backward(spec, ops, x, w, cache, err, plan=None, buf=None):
 def grad_mean(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
               idx: np.ndarray, labels: np.ndarray,
               cache: ForwardCache | None = None,
-              weights: np.ndarray | None = None,
-              buf: Buffers | None = None) -> np.ndarray:
+              weights: np.ndarray | None = None) -> np.ndarray:
     """Mean gradient over an index multiset via one vectorized backward pass.
 
     ``weights`` (one per entry of ``idx``, of any sign) replaces the uniform
     1 / len(idx), giving the weighted sum of the per-sample gradients.
-    ``cache`` is a forward over every node; ``buf`` lends the backward its
-    scratch (``_backward``).
-    """
+    ``cache`` is a forward over every node."""
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("index set must be nonempty")
     if cache is None:
-        cache = forward(spec, ops, x, w, buf=buf)
+        cache = forward(spec, ops, x, w)
     delta = np.zeros((ops.n, spec.num_classes))
     err = logit_error(cache.probs[idx], labels[idx])
     np.add.at(delta, idx,
               err / idx.size if weights is None else err * weights[:, None])
-    return _backward(spec, ops, x, w, cache, delta, buf=buf)
+    return _backward(spec, ops, x, w, cache, delta)
 
 
 def central_differences(fn, w: np.ndarray, step: float) -> np.ndarray:

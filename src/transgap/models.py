@@ -357,38 +357,31 @@ class ForwardCache:
     only the top hidden state, ``h_top``.  appnp and gprgnn keep the MLP's
     ``s1``, output ``h`` and two ``sps``, and the filter coefficients
     ``gamma`` (gprgnn's copied block, appnp's ``appnp_coefficients``); a
-    whole-graph forward adds the power ``stack`` [h, P h, ..., P^K h]."""
+    whole-graph forward adds the power ``stack`` [h, P h, ..., P^K h].
+    ``buf`` is the ``Buffers`` the forward was given, or None."""
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
 
 
 class Buffers:
-    """The n x h and n x c arrays one ``run_sgd`` call creates once and
-    lends to every forward and backward it runs, so that no checkpoint
-    allocates them again and no step adds to them.  Three groups, after
-    ``ForwardCache``: ``sps`` holds one array per pre-activation, which
-    becomes its sigma'; ``keep`` the other arrays a forward keeps and does
-    not get from a sparse product (gcnii's top hidden state, sgc's P^2 X
-    W1, the MLP outputs of appnp and gprgnn, and but for those two the
-    logits); and ``tmp`` the scratch of the activations and the backward
-    passes.  gcn's activation scratch and gcnii's first backward product
-    stay new arrays: lent, either would sit idle at its pass's peak.  A
-    cache made from the buffers is valid only until the next forward given
-    them.  A pass on k < n rows takes views of their first k rows
-    (``lend``).
+    """The n x h arrays one ``run_sgd`` call creates once and gives to every
+    forward it runs; the forward keeps them on its cache (``cache.buf``),
+    where the backward passes take their scratch.  Three groups: ``sps``,
+    the n x h sigma' arrays; ``keep``, gcnii's top hidden state, sgc's P^2
+    X W1 or the filter models' first MLP output; ``tmp``, scratch.  n x c
+    arrays stay new (lent, none saved a fault), as do gcn's activation
+    scratch and gcnii's first backward product (lent, each would sit idle
+    at its pass's peak).  A cache made from the buffers is valid until the
+    next forward given them; a pass on k < n rows takes views of their
+    first k rows (``lend``).
     """
 
     def __init__(self, spec: ModelSpec, n: int):
-        h, c, depth = spec.h, spec.num_classes, spec.depth
-        sps, keep, tmp = {
-            "gcn": ([h] * (depth - 1), [c], [h]),
-            "sgc": ([], [h, c], [h]),
-            "gcnii": ([h] * (depth + 1), [h, c], [h, h]),
-        }.get(spec.arch, ([h, c], [h, c], [h, c]))
-        self.groups = {name: [np.empty((n, width)) for width in widths]
-                       for name, widths in (("sps", sps), ("keep", keep),
-                                            ("tmp", tmp))}
+        counts = {"gcn": (spec.depth - 1, 0, 1), "sgc": (0, 1, 1),
+                  "gcnii": (spec.depth + 1, 1, 2)}.get(spec.arch, (1, 1, 1))
+        self.groups = {name: [np.empty((n, spec.h)) for _ in range(count)]
+                       for name, count in zip(("sps", "keep", "tmp"), counts)}
 
 
 def lend(buf: Buffers | None, group: str, k: int, rows: int):
@@ -460,8 +453,9 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     appnp and gprgnn compute the node-wise MLP on every node; with ``rows``
     they stop there, since a step's gradient reads one filter row
     (``grad_sample``), and without they form every node's logits.  With
-    ``buf`` its products, activations and scratch go to those
-    ``Buffers``; sparse products are new arrays.
+    ``buf`` its n x h products, activations and scratch go to those
+    ``Buffers``, which the cache keeps for its backward passes; sparse
+    products and n x c arrays are new.
     """
     if x.shape != (ops.n, spec.d):
         raise ValueError(f"X has shape {x.shape}, expected {(ops.n, spec.d)}")
@@ -474,14 +468,14 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     sps = []
     if spec.arch in ("appnp", "gprgnn"):
         s1 = _activate(act, x, mats["W1"], sps, buf, ("keep", 0), ("tmp", 0))
-        h = _activate(act, s1, mats["W2"], sps, buf, ("keep", 1), ("tmp", 1))
+        h = _activate(act, s1, mats["W2"], sps, None, None, None)  # n x c
         _check_finite(h, f"{spec.arch} MLP output")
         if spec.arch == "appnp":
             gamma = appnp_coefficients(spec.gamma, spec.big_k)
         else:  # a copy: w may change in place after return
             gamma = mats["gamma"].copy()
         _check_finite(gamma, f"{spec.arch} filter coefficients")
-        cache = ForwardCache(gamma=gamma, s1=s1, h=h, sps=sps)
+        cache = ForwardCache(gamma=gamma, s1=s1, h=h, sps=sps, buf=buf)
         if rows is not None:
             return cache
         cache.stack = gpr_powers(ops.p, h, spec.big_k)
@@ -489,18 +483,17 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     else:
         sets, links = ops.row_sets(rows)
         z = ops.x_products(x)[-1][sets[spec.x_hops()]]
-        cache = ForwardCache(sps=sps, sets=sets, links=links)
+        cache = ForwardCache(sps=sps, sets=sets, links=links, buf=buf)
     if spec.arch == "gcn":
         zs = [z]
         for l in range(1, spec.depth):
             zs.append(ops.propagate_link(links[l + 1], _activate(
                 act, zs[-1], mats[f"W{l}"], sps, buf, ("tmp", 0), None)))
-        logits = np.matmul(zs[-1], mats[f"W{spec.depth}"],
-                           out=lend(buf, "keep", 0, len(zs[-1])))
+        logits = zs[-1] @ mats[f"W{spec.depth}"]
         cache.zs = zs
     elif spec.arch == "sgc":
         zw1 = np.matmul(z, mats["W1"], out=lend(buf, "keep", 0, len(z)))
-        logits = np.matmul(zw1, mats["W2"], out=lend(buf, "keep", 1, len(z)))
+        logits = zw1 @ mats["W2"]
         cache.z, cache.zw1 = z, zw1
     elif spec.arch == "gcnii":
         alphas, betas = spec.gcnii_alphas(), spec.gcnii_betas()
@@ -521,8 +514,7 @@ def forward(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
             h = _activate(act, agg, psi, sps, buf, ("keep", 0), ("tmp", 1))
             aggs.append(agg)
             psis.append(psi)
-        logits = np.matmul(h, mats[f"W{spec.depth + 1}"],
-                           out=lend(buf, "keep", 1, len(h)))
+        logits = h @ mats[f"W{spec.depth + 1}"]
         cache.h_top, cache.aggs, cache.psis = h, aggs, psis
 
     _check_finite(logits, f"{spec.arch} logits")

@@ -143,21 +143,15 @@ def evaluate(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
 
 def gradient_gap(spec: ModelSpec, ops: PropOps, x: np.ndarray,
                  labels: np.ndarray, split: Split, w: np.ndarray,
-                 cache: ForwardCache | None = None,
-                 buf: Buffers | None = None) -> float:
+                 cache: ForwardCache | None = None) -> float:
     """2-norm of (mean train gradient - mean test gradient).
 
     One backward pass over the signed errors: train rows weigh 1/m, test
-    rows -1/u.  The two sets are disjoint, so no row mixes both signs.
-    ``buf`` lends the pass its scratch (``grad_mean``).
-    """
-    if cache is None:
-        cache = forward(spec, ops, x, w, buf=buf)
+    rows -1/u.  The two sets are disjoint, so no row mixes both signs."""
     idx = np.concatenate([split.train_idx, split.test_idx])
     weights = np.concatenate([np.full(split.m, 1.0 / split.m),
                               np.full(split.u, -1.0 / split.u)])
-    g = grad_mean(spec, ops, x, w, idx, labels, cache=cache, weights=weights,
-                  buf=buf)
+    g = grad_mean(spec, ops, x, w, idx, labels, cache=cache, weights=weights)
     return float(np.linalg.norm(g))
 
 
@@ -215,9 +209,8 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
     Checkpoints always evaluate the whole graph, and their forward is
     where appnp and gprgnn form it.
 
-    The call creates one set of ``Buffers`` and lends it to every forward
-    and backward it runs, steps and checkpoints alike: a step on row sets
-    takes views of their first rows.
+    The call gives one set of ``Buffers`` to every forward it runs, steps
+    and checkpoints alike; a step on row sets takes views of their rows.
 
     Deterministic given (inputs, config.seed).  Aborts with a diagnostic if a
     checkpoint loss turns non-finite.
@@ -246,7 +239,7 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
         sqrt_eta = np.sqrt(eta)
         for j in picks:
             g_j = grad_sample(spec, ops, x, w, int(j), int(labels[j]),
-                              cache=cache, buf=buf)
+                              cache=cache)
             gsum += g_j
             g_emp = max(g_emp, sqrt_eta * float(np.linalg.norm(g_j)))
         del cache  # a checkpoint forward must not find it alive
@@ -267,8 +260,7 @@ def run_sgd(spec: ModelSpec, ops: PropOps, x: np.ndarray, labels: np.ndarray,
             if not (np.isfinite(r_m) and np.isfinite(r_u)):
                 raise FloatingPointError(
                     f"non-finite loss at step {t}: R_m={r_m}, R_u={r_u}")
-            gap = gradient_gap(spec, ops, x, labels, split, w, cache=cache,
-                               buf=buf)
+            gap = gradient_gap(spec, ops, x, labels, split, w, cache=cache)
             del cache  # nor may the next step's forward find this one
             trace.checkpoints.append(Checkpoint(
                 t=t, r_m=r_m, r_u=r_u, acc_m=acc_m, acc_u=acc_u,

@@ -55,6 +55,17 @@ class TestComplexityUpper:
         b = complexity_upper(200, 200, 7, 2.0, 1.5, 0.3)
         assert a / b == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("l_f", [0.0, 2.0, 1e300, math.inf])
+    def test_zero_radius_leaves_no_covering_term(self, l_f):
+        # a ball of radius 0 holds one function, even under an infinite L_F
+        trc = complexity_upper(4, 6, 10, 0.0, 0.0, 0.3)
+        assert trc > 0.0
+        assert complexity_upper(4, 6, 10, l_f, 0.0, 0.3) == trc
+        rep = gap_certificate(toy_inputs(m=4, u=6, dim=10, l_f=l_f,
+                                         radius=0.0, b_loss=0.3))
+        assert rep.dudley_term == 0.0 and rep.trc_term == trc
+        assert math.isfinite(rep.total)
+
 
 class TestRates:
     def test_class_boundaries(self):

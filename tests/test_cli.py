@@ -120,6 +120,26 @@ class TestExitCodes:
         assert entry["constants"]["L_F"] == entry["constants"]["P_F"] == "inf"
         assert entry["bound"]["total"] == "inf"
 
+    def test_analyze_zero_radius_certificate_is_finite_at_infinite_cw(
+            self, bundle_dir, tmp_path, capsys):
+        # inf * 0 would make the Dudley term, and the certificate, nan
+        out = tmp_path / "a.json"
+        rc = main(["analyze", "--data", str(bundle_dir), "--compare",
+                   "--cw", "inf", "--radius", "0", "--T", "2", "--hidden", "4",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        assert "nan" not in out.read_text() + err
+        entries = json.loads(out.read_text())["compare"]
+        assert sorted(e["model"] for e in entries) == [
+            "appnp", "gcn", "gcnii", "gprgnn", "sgc"]
+        for e in entries:
+            assert e["constants"]["L_F"] == "inf"
+            bound = e["bound"]
+            assert bound["dudley_term"] == 0.0
+            assert bound["total"] == (bound["trc_term"] + bound["conc_term_1"]
+                                      + bound["conc_term_2"])
+
     def test_analyze_deep_model_with_infinite_cw_is_usage_error(
             self, bundle_dir, tmp_path):
         res = run_cli(["analyze", "--data", str(bundle_dir), "--model",
@@ -163,6 +183,27 @@ class TestExitCodes:
         assert err.startswith(f"usage error: --out {tmp_path / out}: ")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["experiment", "--models", "gcn,appnp", "--gamma", "nan",
+          "--seeds", "3", "--out", "exp"], "gamma must be in [0, 1]"),
+        (["analyze", "--compare", "--gamma", "nan"],
+         "gamma must be in [0, 1]"),
+        (["analyze", "--compare", "--K", "0"], "appnp and gprgnn need K >= 1"),
+    ], ids=["experiment-gamma", "compare-gamma", "compare-K"])
+    def test_every_listed_model_checks_its_flags_before_any_run(
+            self, argv, message, bundle_dir, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before every flag was checked")
+
+        for name in ("transgap.cli.run_sgd", "transgap.experiments.run_sgd"):
+            monkeypatch.setattr(name, no_run)
+        monkeypatch.setenv("TRANSGAP_THREADS", "1")
+        monkeypatch.chdir(tmp_path)
+        rc = main([*argv, "--data", str(bundle_dir), "--T", "200"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err == f"usage error: {message}\n"
 
     def test_gen_zero_feature_dimension(self, tmp_path):
         res = run_cli(["gen", "--blocks", "5,5", "--d", "0",

@@ -251,33 +251,36 @@ class TestTraceCsv:
 
 
 class TestBuffers:
-    """Passes given a run's ``Buffers`` make the bytes that passes on new
-    arrays make, on every node and on row sets (views of first rows)."""
+    """Passes on a forward given a run's ``Buffers`` make the bytes that
+    passes on new arrays make, on every node and on row sets (views of
+    first rows), and no backward writes into the arrays its forward keeps."""
 
-    @pytest.mark.parametrize("arch,depth", [
-        ("gcn", 2), ("gcn", 4), ("sgc", 2), ("gcnii", 2), ("gcnii", 4),
-        ("appnp", 2), ("gprgnn", 2)])
-    def test_lent_passes_match_new_arrays(self, arch, depth):
+    CASES = [("gcn", 2), ("gcn", 4), ("sgc", 2), ("gcnii", 2), ("gcnii", 4),
+             ("appnp", 2), ("gprgnn", 2)]
+
+    def setup_run(self, arch, depth):
         bundle = sbm_bundle([20, 20], 0.2, 0.03, seed=4, d=5)
         spec = ModelSpec(arch=arch, d=5, h=6, num_classes=2, activation=Q2,
                          big_k=3, depth=depth)
         ops = PropOps(normalized_adjacency(bundle.graph), spec)
-        x, labels = bundle.x, bundle.labels
-        w = init_params(spec, 3)
-        buf = Buffers(spec, ops.n)
+        return (spec, ops, bundle.x, bundle.labels, init_params(spec, 3),
+                Buffers(spec, ops.n))
+
+    @pytest.mark.parametrize("arch,depth", CASES)
+    def test_lent_passes_match_new_arrays(self, arch, depth):
+        spec, ops, x, labels, w, buf = self.setup_run(arch, depth)
         idx = np.arange(0, ops.n, 3)
 
         want = forward(spec, ops, x, w)
         g_want = grad_mean(spec, ops, x, w, idx, labels, cache=want)
         got = forward(spec, ops, x, w, buf=buf)
+        assert got.buf is buf and want.buf is None
         assert np.array_equal(got.probs, want.probs)
         assert np.array_equal(
-            grad_mean(spec, ops, x, w, idx, labels, cache=got, buf=buf),
-            g_want)
+            grad_mean(spec, ops, x, w, idx, labels, cache=got), g_want)
         for i in (0, 17):
             assert np.array_equal(
-                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=got,
-                            buf=buf),
+                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=got),
                 grad_sample(spec, ops, x, w, i, int(labels[i]), cache=want))
 
         rows = np.array([5, 11])
@@ -285,9 +288,33 @@ class TestBuffers:
         got = forward(spec, ops, x, w, rows, buf=buf)
         for i in rows:
             assert np.array_equal(
-                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=got,
-                            buf=buf),
+                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=got),
                 grad_sample(spec, ops, x, w, i, int(labels[i]), cache=want))
+
+    @pytest.mark.parametrize("arch,depth", CASES)
+    def test_backward_leaves_its_forward_arrays_alone(self, arch, depth):
+        spec, ops, x, labels, w, buf = self.setup_run(arch, depth)
+        split = make_split(ops.n, 0.5, seed=1)
+
+        def kept(cache):
+            return {(name, k): a for name, v in vars(cache).items()
+                    for k, a in enumerate(v if isinstance(v, list) else [v])
+                    if isinstance(a, np.ndarray)}
+
+        for rows in (None, np.array([5, 11])):
+            cache = forward(spec, ops, x, w, rows, buf=buf)
+            arrays = kept(cache)
+            assert any(np.shares_memory(a, b) for a in arrays.values()
+                       for group in buf.groups.values() for b in group)
+            before = {key: a.copy() for key, a in arrays.items()}
+            if rows is None:
+                grad_mean(spec, ops, x, w, np.arange(0, ops.n, 3), labels,
+                          cache=cache)
+                gradient_gap(spec, ops, x, labels, split, w, cache=cache)
+            for i in (5, 11):
+                grad_sample(spec, ops, x, w, i, int(labels[i]), cache=cache)
+            for key, a in arrays.items():
+                assert np.array_equal(a, before[key]), key
 
 
 class TestCheckpointMemory:
