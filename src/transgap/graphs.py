@@ -3,9 +3,11 @@
 Graphs are stored in compressed-sparse-row form without values (unweighted,
 symmetric, no self-loops).  Propagation operators carry nonnegative float64
 values and a cached infinity norm.  Graphs and operators are built with
-numpy alone; scipy only multiplies.  ``scipy.sparse`` is imported here, by
-``scipy_sparse``, on the first sparse product or block, so a command that
-only builds graphs (``transgap gen``) never loads it.
+numpy alone, and every sparse product runs through ``csr_product``, which
+calls scipy's compiled CSR/CSC kernels (``scipy/sparse/_sparsetools``)
+loaded from their file on the first product.  No command imports the
+``scipy.sparse`` package; only ``scipy_sparse`` does, for the scipy views
+of ``PropagationMatrix.to_scipy`` and ``from_scipy``.
 
 Matrix powers are never materialized for exponent >= 2: every polynomial
 sum_k c_k P^k X is read from the stack [X, PX, ..., P^K X] of
@@ -17,8 +19,11 @@ P^k applied to the all-ones vector).  Only the small-graph
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,6 +45,69 @@ def scipy_sparse():
     import scipy.sparse
 
     return scipy.sparse
+
+
+@cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, loaded from their file in about
+    1 ms.  Importing them as ``scipy.sparse._sparsetools`` would first run
+    the whole ``scipy.sparse`` package: about 0.15-0.19 s and 19 MB of
+    every command."""
+    name = "scipy.sparse._sparsetools"
+    scipy = importlib.util.find_spec("scipy")  # locates, imports nothing
+    for root in (scipy.submodule_search_locations if scipy else None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_loader(name, loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                return module
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+def csr_product(ptr: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                shape: tuple[int, int], m: np.ndarray,
+                transpose: bool = False) -> np.ndarray:
+    """A @ m for the CSR matrix A = (vals, cols, ptr) of ``shape``, or
+    A^T @ m with ``transpose`` (the same arrays read as CSC), as a new
+    float64 array.
+
+    Calls the kernel that scipy's ``@`` dispatches to, with its arguments,
+    so the result is scipy's bit for bit: a 1-D or one-column operand goes
+    to ``csr_matvec``/``csc_matvec``, any other to ``*_matvecs``.  The
+    kernels check nothing, so the operand's row count is checked here and
+    the CSR arrays must be valid (as a ``PropagationMatrix`` checks its own).
+    """
+    rows, inner = shape[::-1] if transpose else shape
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    if m.ndim not in (1, 2) or m.shape[0] != inner:
+        raise ValueError(f"dimension mismatch: operand of shape {m.shape} "
+                         f"for a product with {inner} columns")
+    kind = "csc" if transpose else "csr"
+    if m.ndim == 1 or m.shape[1] == 1:
+        out = np.zeros(rows)
+        getattr(_sparsetools(), kind + "_matvec")(
+            rows, inner, ptr, cols, vals, m.ravel(), out)
+        return out.reshape((rows,) + m.shape[1:])
+    out = np.zeros((rows, m.shape[1]))
+    getattr(_sparsetools(), kind + "_matvecs")(
+        rows, inner, m.shape[1], ptr, cols, vals, m.ravel(), out.ravel())
+    return out
+
+
+def _check_csr(n: int, row_ptr: np.ndarray, col_idx: np.ndarray) -> None:
+    """Raise ValueError unless (row_ptr, col_idx) index n rows and columns."""
+    rp, ci = row_ptr, col_idx
+    if rp.shape != (n + 1,) or rp[0] != 0 or rp[-1] != ci.shape[0]:
+        raise ValueError("row_ptr inconsistent")
+    if np.any(np.diff(rp) < 0):
+        raise ValueError("row_ptr not non-decreasing")
+    if ci.size and (ci.min() < 0 or ci.max() >= n):
+        raise ValueError("column index out of range")
 
 
 @dataclass(frozen=True)
@@ -101,12 +169,7 @@ class SparseGraph:
     def validate(self) -> None:
         """Raise ValueError if any structural invariant is broken."""
         rp, ci = self.row_ptr, self.col_idx
-        if rp.shape != (self.n + 1,) or rp[0] != 0 or rp[-1] != ci.shape[0]:
-            raise ValueError("row_ptr inconsistent")
-        if np.any(np.diff(rp) < 0):
-            raise ValueError("row_ptr not non-decreasing")
-        if ci.size and (ci.min() < 0 or ci.max() >= self.n):
-            raise ValueError("column index out of range")
+        _check_csr(self.n, rp, ci)
         rows = np.repeat(np.arange(self.n), np.diff(rp))
         # The first row with either fault is reported, the order fault first.
         unsorted = rows[1:][(rows[1:] == rows[:-1]) & (np.diff(ci) <= 0)]
@@ -149,6 +212,9 @@ class PropagationMatrix:
     def __post_init__(self):
         for arr in (self.row_ptr, self.col_idx, self.values):
             arr.setflags(write=False)
+        _check_csr(self.n, self.row_ptr, self.col_idx)
+        if self.values.shape != self.col_idx.shape:
+            raise ValueError("values and col_idx differ in length")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("propagation values must be finite and nonnegative")
 
@@ -191,7 +257,8 @@ class PropagationMatrix:
         return float(self.row_sums().max()) if self.n else 0.0
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ x
+        return csr_product(self.row_ptr, self.col_idx, self.values,
+                           (self.n, self.n), x)
 
 
 def build_graph(edges, n: int) -> SparseGraph:
@@ -284,7 +351,9 @@ def appnp_filter(p: PropagationMatrix, gamma: float, big_k: int) -> PropagationM
     """Materialized teleport-style polynomial filter (small-graph path).
 
     Built by Horner recursion B <- gamma*I + (1-gamma)*P B so only partial
-    filters, never raw powers, are formed.
+    filters, never raw powers, are formed.  B is dense (n is small); its
+    entries are those of the same recursion on sparse matrices, whose
+    structural zeros only drop terms that add 0.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
@@ -292,12 +361,14 @@ def appnp_filter(p: PropagationMatrix, gamma: float, big_k: int) -> PropagationM
         raise ValueError("K must be >= 1")
     if p.n > FILTER_MATERIALIZE_LIMIT:
         raise ValueError("graph too large to materialize filter; use appnp_apply")
-    m = p.to_scipy()
-    eye = scipy_sparse().identity(p.n, format="csr", dtype=np.float64)
-    b = gamma * eye + (1.0 - gamma) * m
-    for _ in range(big_k - 1):
-        b = gamma * eye + (1.0 - gamma) * (m @ b)
-    return PropagationMatrix.from_scipy(b)
+    eye = np.eye(p.n)
+    b = eye
+    for _ in range(big_k):
+        b = gamma * eye + (1.0 - gamma) * p.matmat(b)
+    rows, cols = np.nonzero(b)
+    row_ptr = np.zeros(p.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=p.n), out=row_ptr[1:])
+    return PropagationMatrix.from_csr(p.n, row_ptr, cols, b[rows, cols])
 
 
 def appnp_apply(p: PropagationMatrix, gamma: float, big_k: int,
@@ -316,9 +387,8 @@ def gpr_powers(p: PropagationMatrix, x: np.ndarray, big_k: int) -> np.ndarray:
         raise ValueError(f"dimension mismatch: X has {x.shape[0]} rows, P is {p.n}")
     out = np.empty((big_k + 1,) + x.shape, dtype=np.float64)
     out[0] = x
-    m = p.to_scipy()
     for k in range(1, big_k + 1):
-        out[k] = m @ out[k - 1]
+        out[k] = p.matmat(out[k - 1])
     return out
 
 

@@ -40,8 +40,8 @@ import numpy as np
 
 from .activations import ActivationSpec, act_eval
 from .graphs import (FILTER_MATERIALIZE_LIMIT, PropagationMatrix, appnp_apply,
-                     appnp_coefficients, appnp_filter, gpr_powers,
-                     scipy_sparse)
+                     appnp_coefficients, appnp_filter, csr_product,
+                     gpr_powers)
 from .rng import stream
 
 ARCHITECTURES = ("gcn", "gcnii", "sgc", "appnp", "gprgnn")
@@ -223,7 +223,6 @@ class PropOps:
     def __init__(self, p: PropagationMatrix, spec: ModelSpec):
         self.p = p
         self.spec = spec
-        self._csr = p.to_scipy()
         self.filter: PropagationMatrix | None = None
         if spec.arch == "appnp":
             if p.n <= FILTER_MATERIALIZE_LIMIT:
@@ -241,7 +240,7 @@ class PropOps:
         return self.p.n
 
     def propagate(self, m: np.ndarray) -> np.ndarray:
-        return self._csr @ m
+        return self.p.matmat(m)
 
     def x_products(self, x: np.ndarray) -> list[np.ndarray]:
         """[X, P X, ..., P^u X], u = ``spec.x_hops()``, of the X last given,
@@ -256,18 +255,22 @@ class PropOps:
 
     def appnp_row(self, i: int) -> np.ndarray:
         """Dense row i of the teleport filter (filters are symmetric)."""
-        if self.filter is not None:
-            return np.asarray(self.filter.to_scipy().getrow(i).todense()).ravel()
+        f = self.filter
+        if f is not None:
+            row = np.zeros(self.n)
+            lo, hi = f.row_ptr[i], f.row_ptr[i + 1]
+            row[f.col_idx[lo:hi]] = f.values[lo:hi]
+            return row
         e = np.zeros(self.n)
         e[i] = 1.0
         return appnp_apply(self.p, self.spec.gamma, self.spec.big_k, e)
 
     def row_link(self, rows) -> tuple:
         """(S', link) for a row set S: S' is S with the column support of
-        P[S, :] (sorted), and the link is the block P[S, S'] as a CSR array
-        with P's values, paired with its transpose as a CSC array over the
-        same arrays.  S' is ``ALL`` once it holds more than half the nodes;
-        S = ``ALL`` gives (``ALL``, None), the whole graph.
+        P[S, :] (sorted), and the link is the block P[S, S'] with P's
+        values, as the CSR arguments (ptr, cols, vals, shape) of
+        ``csr_product``.  S' is ``ALL`` once it holds more than half the
+        nodes; S = ``ALL`` gives (``ALL``, None), the whole graph.
         """
         if isinstance(rows, slice):
             return ALL, None
@@ -283,9 +286,7 @@ class PropOps:
             below, local, width = ALL, cols, self.n
         else:
             local, width = np.searchsorted(below, cols), below.size
-        csr = scipy_sparse().csr_array((p.values[pos], local, ptr),
-                                       shape=(rows.size, width))
-        return below, (csr, csr.T)
+        return below, (ptr, local, p.values[pos], (rows.size, width))
 
     def row_sets(self, rows) -> tuple[list, list]:
         """The plan of the logits of the nodes ``rows``: lists ``sets`` and
@@ -315,7 +316,7 @@ class PropOps:
             sets[l - 1], links[l] = self.row_link(sets[l])
         if key is not None:
             size = (sum(s.size for s in sets[u:] if s is not ALL)
-                    + sum(link[0].nnz for link in links if link is not None))
+                    + sum(link[2].size for link in links if link is not None))
             if self.plan_entries + size <= self.plan_room:
                 self._plans[key] = sets, links
                 self.plan_entries += size
@@ -328,14 +329,14 @@ class PropOps:
         symmetric)."""
         if link is None:
             return self.propagate(m)
-        return (link[1] if transpose else link[0]) @ m
+        return csr_product(*link, m, transpose=transpose)
 
     def power_row(self, i: int, big_k: int) -> np.ndarray:
         """Stack of rows [P^k]_{i*} for k = 0..K (P symmetric)."""
         rows = np.zeros((big_k + 1, self.n))
         rows[0, i] = 1.0
         for k in range(1, big_k + 1):
-            rows[k] = self._csr @ rows[k - 1]
+            rows[k] = self.p.matmat(rows[k - 1])
         return rows
 
 

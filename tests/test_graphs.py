@@ -1,3 +1,4 @@
+import ast
 import hashlib
 
 import numpy as np
@@ -259,6 +260,30 @@ class TestTeleportFilter:
         with pytest.raises(ValueError):
             appnp_filter(normalized_adjacency(k3()), 1.5, 2)
 
+    @pytest.mark.parametrize("g", [
+        build_graph([], 3), build_graph([(0, 4), (2, 4)], 6), k3(), p3(),
+        *(sbm_generate([20, 15], 0.3, 0.05, seed=s)[0] for s in range(3)),
+        sbm_generate([100, 100], 0.1, 0.01, seed=3)[0]])
+    @pytest.mark.parametrize("gamma,big_k", [
+        (0.1, 10), (0.5, 1), (0.0, 3), (1.0, 2), (0.37, 5)])
+    def test_bits_equal_scipy_horner(self, g, gamma, big_k):
+        # the former construction: the Horner recursion on scipy matrices
+        import scipy.sparse as sp
+
+        p = normalized_adjacency(g)
+        m = p.to_scipy()
+        eye = sp.identity(g.n, format="csr", dtype=np.float64)
+        b = gamma * eye + (1.0 - gamma) * m
+        for _ in range(big_k - 1):
+            b = gamma * eye + (1.0 - gamma) * (m @ b)
+        expect = PropagationMatrix.from_scipy(b)
+        f = appnp_filter(p, gamma, big_k)
+        assert f.n == expect.n
+        for name in ("row_ptr", "col_idx", "values"):
+            got, want = getattr(f, name), getattr(expect, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
 
 class TestGprPowers:
     def test_order_zero(self):
@@ -362,15 +387,7 @@ class TestSbm:
         assert digests == SCALE_6K_SHA256
 
     def test_gen_never_imports_scipy(self, tmp_path):
-        code = ("import sys\n"
-                "from transgap.cli import main\n"
-                "assert main(sys.argv[1:]) == 0\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-                "'scipy'))\n")
-        res = run_python(["-c", code, "gen", "--blocks", "12,12", "--out",
-                          str(tmp_path / "bundle")], tmp_path)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == "[]"
+        assert scipy_modules_after(["gen"], tmp_path) == []
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), p_in=st.floats(0, 1),
@@ -379,6 +396,35 @@ class TestSbm:
         g, labels = sbm_generate([6, 5], p_in, p_out, seed=seed)
         g.validate()
         assert labels.shape == (11,)
+
+
+def scipy_modules_after(argv, tmp_path):
+    """The ``scipy`` modules loaded by the time the command ``argv`` ends,
+    run in a new process that first writes a 24-node bundle ``b``."""
+    code = ("import sys\n"
+            "from transgap.cli import main\n"
+            "assert main(['gen', '--blocks', '12,12', '--out', 'b']) == 0\n"
+            "if sys.argv[1:] != ['gen']:\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))\n")
+    res = run_python(["-c", code, *argv], tmp_path)
+    assert res.returncode == 0, res.stderr
+    return ast.literal_eval(res.stdout.splitlines()[-1])
+
+
+# Every command but gen multiplies by P; the 24-node analyze --compare runs
+# the materialized appnp filter, experiment all seven models.
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "b", "--model", "gcnii", "--T", "4", "--out", "t.csv"],
+    ["analyze", "--data", "b", "--compare", "--T", "4", "--out", "a.json"],
+    ["experiment", "--data", "b", "--models",
+     "gcn,gcnii,sgc,appnp,gprgnn,gcn6,gcnii6", "--seeds", "1", "--T", "4",
+     "--out", "e"],
+    ["gradcheck", "--model", "all", "--n", "12", "--instances", "1"]],
+    ids=lambda argv: argv[0])
+def test_no_command_imports_scipy_sparse(argv, tmp_path):
+    assert "scipy.sparse" not in scipy_modules_after(argv, tmp_path)
 
 
 class TestScipyView:
@@ -414,6 +460,47 @@ def _raw_graph(n, rows):
     row_ptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
     col_idx = np.array([c for r in rows for c in r], dtype=np.int64)
     return SparseGraph(n=n, row_ptr=row_ptr, col_idx=col_idx)
+
+
+class TestOperatorChecks:
+    """A PropagationMatrix rejects CSR arrays that the product kernels,
+    which check nothing, would read out of bounds."""
+
+    @staticmethod
+    def make(row_ptr, col_idx, nnz=None):
+        col_idx = np.array(col_idx, dtype=np.int64)
+        return PropagationMatrix(
+            n=3, row_ptr=np.array(row_ptr, dtype=np.int64), col_idx=col_idx,
+            values=np.ones(col_idx.size if nnz is None else nnz))
+
+    def test_valid_arrays_pass(self):
+        p = self.make([0, 1, 1, 3], [2, 0, 1])
+        assert gpr_powers(p, np.ones(3), 2)[2].tolist() == [2.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("col_idx", [[0, 1, 7], [0, -1, 2]])
+    def test_column_out_of_range(self, col_idx):
+        with pytest.raises(ValueError, match="column index out of range"):
+            self.make([0, 1, 2, 3], col_idx)
+
+    def test_row_ptr_length(self):
+        with pytest.raises(ValueError, match="row_ptr inconsistent"):
+            self.make([0, 1, 2], [0, 1])
+
+    def test_row_ptr_start(self):
+        with pytest.raises(ValueError, match="row_ptr inconsistent"):
+            self.make([1, 1, 2, 3], [0, 1, 2])
+
+    def test_row_ptr_decreasing(self):
+        with pytest.raises(ValueError, match="row_ptr not non-decreasing"):
+            self.make([0, 2, 1, 3], [0, 1, 2])
+
+    def test_entry_count(self):
+        with pytest.raises(ValueError, match="row_ptr inconsistent"):
+            self.make([0, 1, 2, 3], [0, 1])
+
+    def test_values_length(self):
+        with pytest.raises(ValueError, match="values and col_idx differ"):
+            self.make([0, 1, 2, 3], [0, 1, 2], nnz=2)
 
 
 class TestValidate:

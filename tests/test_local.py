@@ -14,7 +14,8 @@ from conftest import check_sgd_against_whole_graph, rel_err
 from transgap.activations import ActivationSpec, act_deriv
 from transgap.datasets import Split
 from transgap.gradients import grad_mean, grad_sample
-from transgap.graphs import build_graph, gpr_powers, normalized_adjacency
+from transgap.graphs import (build_graph, csr_product, gpr_powers,
+                             normalized_adjacency)
 from transgap.models import (ALL, ModelSpec, PropOps, forward, init_params,
                              preactivations)
 from transgap.training import LrSchedule, SgdConfig, run_sgd
@@ -53,11 +54,15 @@ def instance(arch, depth, seed=0, ring=RING, q=2.0):
 
 
 def dense(link):
-    """The block P[S, S'] of a link, checking that its second half is the
-    transpose."""
-    block, block_t = link
-    assert np.array_equal(block_t.toarray(), block.toarray().T)
-    return block.toarray()
+    """The block P[S, S'] of a link, checking that its products, plain and
+    transposed, are those of the block."""
+    ptr, cols, vals, shape = link
+    block = np.zeros(shape)
+    block[np.repeat(np.arange(shape[0]), np.diff(ptr)), cols] = vals
+    assert np.array_equal(csr_product(*link, np.eye(shape[1])), block)
+    assert np.array_equal(
+        csr_product(*link, np.eye(shape[0]), transpose=True), block.T)
+    return block
 
 
 def ring_ops(depth=6):
@@ -221,7 +226,7 @@ class TestRowSetForward:
                     list(range(n // 2))] * 2
             else:
                 assert sets[:2] == [ALL, ALL]
-                assert links[1] is None and links[2][0].shape == (1, n)
+                assert links[1] is None and links[2][3] == (1, n)
             sets, _ = ops.row_sets(np.array([n - 1]))
             assert [rows.tolist() for rows in sets] == [[n - 1]] * 3
 

@@ -41,11 +41,15 @@ COMMANDS = {
 }
 
 # transgap pins BLAS to one thread on import, before numpy loads, so the
-# helper holds no BLAS threads when it forks
+# helper holds no BLAS threads when it forks; it pre-loads what every
+# command loads (numpy.random and the sparse kernels), so the children
+# share those pages
 HELPER = """
 import ctypes, json, os, sys
 from transgap.cli import main
-import numpy.random, scipy.sparse
+import numpy.random
+from transgap.graphs import _sparsetools
+_sparsetools()
 
 trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
 if trim is None:
