@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import SparseGraph, build_graph, sbm_generate
+from .graphs import SparseGraph, build_graph, sbm_generate, unique_sorted
 from .rng import stream
 
 
@@ -39,7 +39,7 @@ class Split:
         if m == 0 or u == 0:
             raise ValueError("degenerate split: both sides must be nonempty")
         joined = np.concatenate([self.train_idx, self.test_idx])
-        if np.unique(joined).size != joined.size:
+        if unique_sorted(joined).size != joined.size:
             raise ValueError("train/test overlap")
         if joined.size != m + u or joined.max() != m + u - 1 or joined.min() != 0:
             raise ValueError("split must cover exactly 0..n-1")
@@ -110,11 +110,26 @@ class BundleFormatError(ValueError):
 # An edges.tsv as save_bundle writes it, read by one numpy parse: "u<TAB>v"
 # lines of at most 18 ASCII digits per id, so that every id fits an int64.
 _SAVED_EDGES = re.compile(r"(?:[0-9]{1,18}\t[0-9]{1,18}\n)*")
+# Characters matched at once: re keeps about 200 B for every line matched
+# by the repeat, so the text is matched in blocks of whole lines.
+_EDGE_BLOCK = 1 << 14
+
+
+def _is_saved_edges(text: str) -> bool:
+    """Whether ``text`` is all ``_SAVED_EDGES`` lines, checked block by
+    block in memory bounded by ``_EDGE_BLOCK``."""
+    pos = 0
+    while pos < len(text):
+        end = text.rfind("\n", pos, pos + _EDGE_BLOCK) + 1
+        if end <= pos or not _SAVED_EDGES.fullmatch(text, pos, end):
+            return False
+        pos = end
+    return True
 
 
 def _read_edges(path: Path, n: int) -> SparseGraph:
     text = path.read_text(encoding="utf-8")
-    if _SAVED_EDGES.fullmatch(text):
+    if _is_saved_edges(text):
         edges = np.fromstring(text, dtype=np.int64, sep=" ")
     else:  # skip blank and '#' lines, split the rest at one tab
         edges = []

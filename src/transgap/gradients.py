@@ -10,8 +10,9 @@ index multiset, to get the mean (or any weighted sum) of per-sample
 gradients.  ``grad_sample`` returns the exact gradient of one node's
 cross-entropy: gcn, sgc and gcnii run ``_backward`` on that node's error
 row, down the node's own plan (built once per node); appnp and gprgnn run
-``_filter_row_grad`` on one row of their filter, into the same MLP
-backward.  ``fd_gradient`` is the independent central-difference oracle.
+``_filter_row_grad`` on one row of their filter (the gamma-weighted rows
+of P^0..P^K of ``PropOps.power_row``), into the same MLP backward.
+``fd_gradient`` is the independent central-difference oracle.
 """
 
 from __future__ import annotations
@@ -46,22 +47,18 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
 def _filter_row_grad(spec, ops, x, w, cache, i, label):
     """Per-sample backward of appnp / gprgnn from row i of the filter.
 
-    Node i's logits are that row times the MLP output h (for gprgnn, the
-    gamma-weighted rows of P^k), so no whole-graph product is needed: the
-    logit error enters the MLP backward as row * sigma'(pre2) * err.
+    Node i's logits are that row times the MLP output h, the row being the
+    ``cache.gamma``-weighted rows of P^k, k = 0..K (appnp's gamma is
+    ``appnp_coefficients``), so no whole-graph product is needed: the logit
+    error enters the MLP backward as row * sigma'(pre2) * err.
     """
     layout = layout_for(spec)
     g = np.zeros(layout.dim)
-    if spec.arch == "appnp":
-        row = ops.appnp_row(i)
-        logits = row @ cache.h
-    else:
-        rows = ops.power_row(i, spec.big_k)
-        hop_logits = rows @ cache.h  # row i of P^k h, k = 0..K
-        row = cache.gamma @ rows
-        logits = cache.gamma @ hop_logits
-    err = logit_error(softmax_rows(logits), label)
-    if spec.arch == "gprgnn":
+    rows = ops.power_row(i, spec.big_k)
+    hop_logits = rows @ cache.h  # row i of P^k h, k = 0..K
+    row = cache.gamma @ rows
+    err = logit_error(softmax_rows(cache.gamma @ hop_logits), label)
+    if "gamma" in layout.names():
         layout.view(g, "gamma")[...] = hop_logits @ err
     dpre2 = row[:, None] * cache.sps[1]
     dpre2 *= err

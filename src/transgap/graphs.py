@@ -33,10 +33,9 @@ from .rng import stream
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# Above this many nodes the APPNP filter is applied lazily instead of being
-# materialized: the dense-ish filter costs memory quadratic in n, and at mean
-# degree about 12 `analyze --model appnp` (T + n filter-row reads) runs as
-# fast on the lazy path from about 250 nodes on and faster above 300.
+# Graphs of at most this many nodes may store the APPNP filter as a matrix
+# (``PropOps.filter``, built on first read; no command reads it): the
+# dense-ish filter costs memory quadratic in n.
 FILTER_MATERIALIZE_LIMIT = 250
 
 
@@ -261,6 +260,20 @@ class PropagationMatrix:
                            (self.n, self.n), x)
 
 
+def _distinct(s: np.ndarray) -> np.ndarray:
+    """The distinct entries of a sorted 1-D array, in order."""
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def unique_sorted(a) -> np.ndarray:
+    """``np.unique`` of integers as sorted int64, by one sort: numpy 2's
+    ``np.unique`` imports ``numpy.ma`` (about 0.8 MB) on its first call."""
+    return _distinct(np.sort(np.asarray(a, dtype=np.int64), axis=None))
+
+
 def build_graph(edges, n: int) -> SparseGraph:
     """Build a symmetric, deduplicated, sorted CSR graph from edge pairs.
 
@@ -269,6 +282,8 @@ def build_graph(edges, n: int) -> SparseGraph:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if int(n) ** 2 >= 2 ** 63:
+        raise ValueError("n too large: edge keys u*n + v overflow int64")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -282,16 +297,15 @@ def build_graph(edges, n: int) -> SparseGraph:
     if edges.size == 0:
         return SparseGraph(n=n, row_ptr=np.zeros(n + 1, dtype=np.int64),
                            col_idx=np.zeros(0, dtype=np.int64))
-    both = np.vstack([edges, edges[:, ::-1]])
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
-    keep = np.ones(both.shape[0], dtype=bool)
-    keep[1:] = np.any(both[1:] != both[:-1], axis=1)
-    both = both[keep]
-    counts = np.bincount(both[:, 0], minlength=n)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return SparseGraph(n=n, row_ptr=row_ptr, col_idx=both[:, 1].copy())
+    # Entry (u, v) of both directions as the one key u*n + v; sorted keys
+    # are in CSR order.
+    u, v = edges[:, 0], edges[:, 1]
+    key = np.concatenate([u * n + v, v * n + u])
+    key.sort()
+    key = _distinct(key)
+    row_ptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return SparseGraph(n=n, row_ptr=row_ptr,
+                       col_idx=np.remainder(key, n, out=key))
 
 
 def normalized_adjacency(g: SparseGraph) -> PropagationMatrix:

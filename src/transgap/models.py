@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ import numpy as np
 from .activations import ActivationSpec, act_eval
 from .graphs import (FILTER_MATERIALIZE_LIMIT, PropagationMatrix, appnp_apply,
                      appnp_coefficients, appnp_filter, csr_product,
-                     gpr_powers)
+                     gpr_powers, unique_sorted)
 from .rng import stream
 
 ARCHITECTURES = ("gcn", "gcnii", "sgc", "appnp", "gprgnn")
@@ -223,10 +223,8 @@ class PropOps:
     def __init__(self, p: PropagationMatrix, spec: ModelSpec):
         self.p = p
         self.spec = spec
-        self.filter: PropagationMatrix | None = None
-        if spec.arch == "appnp":
-            if p.n <= FILTER_MATERIALIZE_LIMIT:
-                self.filter = appnp_filter(p, spec.gamma, spec.big_k)
+        self._stores_filter = (spec.arch == "appnp"
+                               and p.n <= FILTER_MATERIALIZE_LIMIT)
         self._plans: dict = {}
         # Set members and link nonzeros the kept plans may hold: L n x h
         # arrays' worth, no more than the hidden arrays a whole-graph
@@ -238,6 +236,16 @@ class PropOps:
     @property
     def n(self) -> int:
         return self.p.n
+
+    @cached_property
+    def filter(self) -> PropagationMatrix | None:
+        """appnp's teleport filter as a matrix, built on first read, where
+        the graph had at most ``FILTER_MATERIALIZE_LIMIT`` nodes when this
+        ``PropOps`` was made; None otherwise.  No command reads it: steps
+        and scans read a filter row from ``power_row``."""
+        if not self._stores_filter:
+            return None
+        return appnp_filter(self.p, self.spec.gamma, self.spec.big_k)
 
     def propagate(self, m: np.ndarray) -> np.ndarray:
         return self.p.matmat(m)
@@ -254,7 +262,8 @@ class PropOps:
         return self._xp
 
     def appnp_row(self, i: int) -> np.ndarray:
-        """Dense row i of the teleport filter (filters are symmetric)."""
+        """Dense row i of the teleport filter (filters are symmetric), from
+        the stored ``filter`` if any; no command calls it."""
         f = self.filter
         if f is not None:
             row = np.zeros(self.n)
@@ -281,7 +290,7 @@ class PropOps:
         np.cumsum(counts, out=ptr[1:])
         pos = np.repeat(starts - ptr[:-1], counts) + np.arange(ptr[-1])
         cols = p.col_idx[pos]
-        below = np.unique(np.concatenate([rows, cols]))
+        below = unique_sorted(np.concatenate([rows, cols]))
         if below.size > self.n / 2:
             below, local, width = ALL, cols, self.n
         else:
@@ -307,7 +316,7 @@ class PropOps:
         if key in self._plans:
             return self._plans[key]
         hops, u = self.spec.receptive_hops(), self.spec.x_hops()
-        top = ALL if rows is None else np.unique(rows)
+        top = ALL if rows is None else unique_sorted(rows)
         if top is not ALL and top.size > self.n / 2:
             top = ALL
         sets, links = [None] * (hops + 1), [None] * (hops + 1)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_cli, run_cli_ok
+from conftest import run_cli, run_cli_ok, run_python
 from transgap.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -694,3 +694,37 @@ class TestConfigMerge:
         rc, out = self._train(bundle_dir, tmp_path, cfg)
         assert rc == 0
         assert got != out.read_bytes()
+
+
+# A new process writes a 24-node bundle, under the filter limit, and runs
+# analyze --compare with graphs.appnp_filter replaced by a spy.
+LOADS_AFTER_ANALYZE = """
+import sys
+import transgap.graphs as graphs
+import transgap.models as models
+from transgap.cli import main
+
+calls = []
+
+
+def spy(*args):
+    calls.append(args)
+    return build(*args)
+
+
+build = graphs.appnp_filter
+graphs.appnp_filter = models.appnp_filter = spy
+assert main(["gen", "--blocks", "12,12", "--out", "b"]) == 0
+assert main(["analyze", "--data", "b", "--compare", "--T", "4",
+             "--out", "a.json"]) == 0
+print(len(calls), sorted(m for m in ("numpy.ma", "concurrent.futures.process")
+                         if m in sys.modules))
+"""
+
+
+def test_analyze_loads_only_code_it_runs(tmp_path):
+    """analyze --compare builds no stored filter, starts no pool and masks
+    no array, so it loads neither the pool's nor the masked-array module."""
+    res = run_python(["-c", LOADS_AFTER_ANALYZE], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 []"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,25 @@ class TestEdgeLines:
                                       bundle.graph.row_ptr)
         np.testing.assert_array_equal(loaded.graph.col_idx,
                                       bundle.graph.col_idx)
+
+    def test_saved_file_is_read_in_bounded_memory(self, tmp_path):
+        """Reading a saved edges.tsv of 40,000 lines peaks under 100 B a
+        line: its check holds a bounded block of lines at a time, where
+        one match of the whole text kept about 200 B for every line."""
+        rng = np.random.default_rng(0)
+        lines, n = 40_000, 6000
+        u = rng.integers(0, n - 1, size=lines)
+        path = tmp_path / "edges.tsv"
+        np.savetxt(path, np.column_stack([u, u + 1]), fmt="%d",
+                   delimiter="\t")
+        tracemalloc.start()
+        try:
+            graph = datasets._read_edges(path, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count == np.unique(u).size
+        assert peak < 100 * lines
 
     @pytest.mark.parametrize("text", ["0\t" + "9" * 19 + "\n",
                                       "0\t" + "9" * 40 + "\n"])

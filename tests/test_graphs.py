@@ -64,6 +64,22 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="self-loop"):
             build_graph([(1, 1)], 3)
 
+    def test_n_whose_edge_keys_overflow_rejected(self):
+        with pytest.raises(ValueError, match="n too large"):
+            build_graph([(0, 1)], 2 ** 32)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 30), data=st.data())
+    def test_matches_sorted_pair_set(self, n, data):
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node).filter(
+            lambda e: e[0] != e[1]), max_size=60))
+        want = sorted({(u, v) for a, b in pairs for u, v in ((a, b), (b, a))})
+        g = build_graph(pairs, n)
+        assert g.col_idx.tolist() == [v for _, v in want]
+        assert g.row_ptr.tolist() == [sum(u < i for u, _ in want)
+                                      for i in range(n + 1)]
+
     def test_duplicate_edges_collapse(self):
         g = build_graph([(0, 1), (0, 1), (1, 0)], 2)
         assert g.edge_count == 1
