@@ -53,7 +53,8 @@ def act_eval(a: ActivationSpec, x: np.ndarray, deriv: np.ndarray | None = None,
     (new ones when not given; max(x, 0) - clip(x, 0, t) is max(x - t, 0)
     exactly); 0-d input gives a 0-d array.  Given an array ``deriv``, which
     may be ``x`` itself, it also writes sigma' there from the same clip, by
-    ``act_deriv``'s operations: seven passes over the elements, not nine.
+    ``act_deriv``'s operations: seven passes over the elements, not nine,
+    and six at q = 2, where the power q - 1 = 1 is skipped.
     """
     x = np.asarray(x, dtype=np.float64)
     tail = np.maximum(x, 0.0, out=np.empty_like(x) if tmp is None else tmp)
@@ -61,7 +62,8 @@ def act_eval(a: ActivationSpec, x: np.ndarray, deriv: np.ndarray | None = None,
     tail -= out
     if deriv is not None:  # x is read no more
         np.divide(out, a.t, out=deriv)
-        deriv **= a.q - 1.0
+        if a.q - 1.0 != 1.0:
+            deriv **= a.q - 1.0
     out **= a.q
     out += tail
     return out
@@ -78,5 +80,6 @@ def act_deriv(a: ActivationSpec, x: np.ndarray) -> np.ndarray:
     out = np.maximum(x, 0.0, out=np.empty_like(x))
     np.minimum(out, a.t, out=out)
     out /= a.t
-    out **= a.q - 1.0
+    if a.q - 1.0 != 1.0:  # x ** 1.0 is x
+        out **= a.q - 1.0
     return out

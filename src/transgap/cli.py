@@ -30,7 +30,7 @@ from .experiments import (MODEL_CHOICES, REPORT_SCHEMA, UsageError,
                           experiment_config, flag_errors, run_experiment,
                           theory_offset)
 from .gradients import fd_gradient, grad_sample, max_relative_error
-from .graphs import normalized_adjacency, sbm_generate
+from .graphs import adjacency_inf_norm, sbm_generate
 from .models import forward, init_params, kink_distance, layout_for
 from .rng import stream
 from .training import run_sgd
@@ -321,7 +321,7 @@ def cmd_gen(args) -> int:
         bundle = replace(bundle, x=row_normalize(bundle.x))
     save_bundle(bundle, args.out)
     stats = bundle.graph.degree_stats()
-    a_inf = normalized_adjacency(bundle.graph).inf_norm
+    a_inf = adjacency_inf_norm(bundle.graph)
     print(f"bundle {bundle.name}: n={bundle.n} edges={stats.edge_count} "
           f"deg=[{stats.deg_min},{stats.deg_max}] "
           f"adjacency_norm={a_inf:.4g}")

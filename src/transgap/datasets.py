@@ -209,8 +209,9 @@ def save_bundle(bundle: DatasetBundle, path) -> None:
     """Write a bundle directory with byte-stable formatting."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    np.savetxt(root / "edges.tsv", bundle.graph.undirected_edges(), fmt="%d",
-               delimiter="\t")
+    with open(root / "edges.tsv", "w") as fh:
+        for block in bundle.graph.edge_blocks():
+            fh.writelines("%d\t%d\n" % (u, v) for u, v in block.tolist())
     np.savetxt(root / "features.csv", bundle.x, fmt="%.17g", delimiter=",")
     np.savetxt(root / "labels.csv", bundle.labels, fmt="%d")
     meta = {"n": bundle.n, "d": bundle.d, "num_classes": bundle.num_classes,

@@ -161,9 +161,19 @@ class SparseGraph:
 
     def undirected_edges(self) -> np.ndarray:
         """(m, 2) array of edges with u < v, in CSR order."""
-        rows = np.repeat(np.arange(self.n), self.degrees)
-        mask = rows < self.col_idx
-        return np.column_stack([rows[mask], self.col_idx[mask]])
+        return np.concatenate([*self.edge_blocks(), np.empty((0, 2), np.int64)])
+
+    def edge_blocks(self, size: int = 1 << 10):
+        """The rows of ``undirected_edges`` in order, one (k, 2) array for
+        each run of at most ``size`` stored entries: memory bounded by
+        ``size``, not by the edge count."""
+        for start in range(0, self.col_idx.size, size):
+            cols = self.col_idx[start:start + size]
+            rows = np.searchsorted(self.row_ptr,
+                                   np.arange(start, start + cols.size),
+                                   side="right") - 1
+            keep = rows < cols
+            yield np.column_stack([rows[keep], cols[keep]])
 
     def validate(self) -> None:
         """Raise ValueError if any structural invariant is broken."""
@@ -297,10 +307,14 @@ def build_graph(edges, n: int) -> SparseGraph:
     if edges.size == 0:
         return SparseGraph(n=n, row_ptr=np.zeros(n + 1, dtype=np.int64),
                            col_idx=np.zeros(0, dtype=np.int64))
-    # Entry (u, v) of both directions as the one key u*n + v; sorted keys
-    # are in CSR order.
-    u, v = edges[:, 0], edges[:, 1]
-    key = np.concatenate([u * n + v, v * n + u])
+    # Entry (u, v) of both directions as the one key u*n + v, written into
+    # one array; sorted keys are in CSR order.
+    m, u, v = edges.shape[0], edges[:, 0], edges[:, 1]
+    key = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=key[:m])
+    key[:m] += v
+    np.multiply(v, n, out=key[m:])
+    key[m:] += u
     key.sort()
     key = _distinct(key)
     row_ptr = np.searchsorted(key, np.arange(n + 1) * n)
@@ -331,6 +345,20 @@ def normalized_adjacency(g: SparseGraph) -> PropagationMatrix:
     col_idx[off_diag] = g.col_idx
     values = inv_sqrt[np.repeat(np.arange(n), deg + 1)] * inv_sqrt[col_idx]
     return PropagationMatrix.from_csr(n, row_ptr, col_idx, values)
+
+
+def adjacency_inf_norm(g: SparseGraph) -> float:
+    """``normalized_adjacency(g).inf_norm`` up to rounding, without forming
+    the operator: row i of D(A + I)D sums to s_i (s_i + sum_j s_j) over the
+    neighbours j of i, with s = 1 / sqrt(d + 1)."""
+    if g.n == 0:
+        return 0.0
+    deg = g.degrees
+    inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64) + 1.0)
+    sums = inv_sqrt.copy()
+    busy = deg > 0  # reduceat would give an empty row its next entry
+    sums[busy] += np.add.reduceat(inv_sqrt[g.col_idx], g.row_ptr[:-1][busy])
+    return float((inv_sqrt * sums).max())
 
 
 def inf_norm_power(p: PropagationMatrix, k: int) -> float:
@@ -443,7 +471,10 @@ def sbm_generate(sizes, p_in: float, p_out: float, seed: int,
     buf = np.empty(n + 3)
     prob = np.full(n, p_out)  # entry j: the probability of pair (i, j)
     pos = 0  # words of the stream used so far
-    counts, cols = np.zeros(n, dtype=np.int64), [np.zeros(0, dtype=np.int64)]
+    # the edges found so far, edges[:m]; ndarray.resize reallocates the
+    # one buffer, so it grows by doubling without a second array, and the
+    # last resize returns the unused tail
+    edges, m = np.empty((n, 2), dtype=np.int64), 0
     first = 0
     for size in sizes:
         prob[first:first + size] = p_in  # the rows i of this block
@@ -459,10 +490,13 @@ def sbm_generate(sizes, p_in: float, p_out: float, seed: int,
             u = u[start - pos:]
             pos = start + u.size
             hits = (u < prob[i + 1:]).nonzero()[0]
-            counts[i] = hits.size
-            cols.append(hits + (i + 1))
+            if m + hits.size > edges.shape[0]:
+                edges.resize((max(2 * edges.shape[0], m + hits.size), 2),
+                             refcheck=False)
+            edges[m:m + hits.size, 0] = i
+            np.add(hits, i + 1, out=edges[m:m + hits.size, 1])
+            m += hits.size
         prob[first:first + size] = p_out
         first += size
-    edges = np.column_stack([np.repeat(np.arange(n), counts),
-                             np.concatenate(cols)])
+    edges.resize((m, 2), refcheck=False)
     return build_graph(edges, n), labels

@@ -243,3 +243,32 @@ class TestSbmBundle:
         mean1 = bundle.x[bundle.labels == 1].mean(axis=0)
         assert mean0[0] > 4.0 and abs(mean1[0]) < 1.0
         assert mean1[1] > 4.0 and abs(mean0[1]) < 1.0
+
+    def test_generation_and_save_peak_per_edge(self, tmp_path):
+        """At 6000 nodes with the benchmark's scale-6k degrees (about 40k
+        edges), making the bundle peaks at most 40 B per undirected edge
+        beyond the bundle's own arrays, and writing it at most 20 B: one
+        edge buffer feeds build_graph's one key array, and edges.tsv is
+        written in bounded blocks (27 and 9 B with numpy 2.4).  Stacked
+        per-row arrays, two key temporaries and a whole (m, 2) copy for
+        the file took 54 and 50."""
+        import numpy.random  # noqa: F401  (its import is not the generator's)
+
+        tracemalloc.start()
+        try:
+            bundle = sbm_bundle([3000, 3000], 0.004, 0.0005, seed=3,
+                                signal=1.5, noise=2.0)
+            made = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            save_bundle(bundle, tmp_path / "b")
+            saved = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        g = bundle.graph
+        own = sum(a.nbytes for a in (g.row_ptr, g.col_idx, bundle.x,
+                                     bundle.labels))
+        m = g.edge_count
+        assert m > 39_000
+        assert (made - own) / m < 40
+        assert saved / m < 20

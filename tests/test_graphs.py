@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import run_python
 from transgap.cli import main
-from transgap.graphs import (PropagationMatrix, appnp_apply,
-                             appnp_coefficients, appnp_filter, build_graph,
-                             degree_bound, drop_edge, gpr_powers,
+from transgap.datasets import load_bundle
+from transgap.graphs import (PropagationMatrix, adjacency_inf_norm,
+                             appnp_apply, appnp_coefficients, appnp_filter,
+                             build_graph, degree_bound, drop_edge, gpr_powers,
                              inf_norm_power, normalized_adjacency,
                              sbm_generate)
 from transgap.rng import stream
@@ -29,6 +30,21 @@ SCALE_6K_SHA256 = {
         "5f7c25b33bf7bbc8ed1fbe8c6cf36c231f1044a724c43b858d4c323a8517bfb0",
     "meta.json":
         "1ee325a7c3df89ac211040d4453469adba4af5ded990289c43f11dbff98f1678",
+}
+
+# The same for the 200-node bundle of the benchmark's two small workloads at
+# seed 3, recorded at commit 9c7801b, before gen wrote edges.tsv in blocks.
+SMALL_GEN = ["--blocks", "100,100", "--pin", "0.1", "--pout", "0.01",
+             "--signal", "1.5", "--noise", "2.0"]
+SMALL_SHA256 = {
+    "edges.tsv":
+        "df34850c112821a08e96c4d9f22a7bd617aaa2b60e6db0ede61be1e005bd3b87",
+    "features.csv":
+        "cc430a252fc511750ceb147bb7185269288885e26afa630a51ba47d68b58c796",
+    "labels.csv":
+        "9ffc04a6c3369121b4cd4524151cc0e24ce1d371c199939ca20dbf8e99d6ea31",
+    "meta.json":
+        "0826d9194728cc2a80d726128e0bf3c0d0c333da288ea7a8cb48bef35078a372",
 }
 
 
@@ -80,6 +96,23 @@ class TestBuildGraph:
         assert g.row_ptr.tolist() == [sum(u < i for u, _ in want)
                                       for i in range(n + 1)]
 
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 30), size=st.integers(1, 9), data=st.data())
+    def test_edge_blocks_give_the_sorted_pairs(self, n, size, data):
+        # blocks of any size, split inside rows and across empty rows
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node).filter(
+            lambda e: e[0] != e[1]), max_size=60))
+        want = sorted({(min(e), max(e)) for e in pairs})
+        g = build_graph(pairs, n)
+        blocks = list(g.edge_blocks(size))
+        assert all(b.dtype == np.int64 and b.shape[1] == 2 for b in blocks)
+        assert len(blocks) == -(-2 * len(want) // size)
+        assert [tuple(e) for b in blocks for e in b.tolist()] == want
+        edges = g.undirected_edges()
+        assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
+        assert [tuple(e) for e in edges.tolist()] == want
+
     def test_duplicate_edges_collapse(self):
         g = build_graph([(0, 1), (0, 1), (1, 0)], 2)
         assert g.edge_count == 1
@@ -119,12 +152,14 @@ class TestNormalizedAdjacency:
         assert dense[2, 2] == pytest.approx(0.5)
         assert p.inf_norm == pytest.approx(2.0 / np.sqrt(6.0) + 1.0 / 3.0)
 
-    @pytest.mark.parametrize("g", [
+    GRAPHS = [
         build_graph([], 0), build_graph([], 3),
         build_graph([(0, 4), (2, 4)], 6),  # nodes 1, 3 and 5 isolated
         k3(), p3(),
         *(sbm_generate([20, 15], 0.3, 0.05, seed=s)[0] for s in range(4)),
-        sbm_generate([7, 1, 9], 1.0, 0.3, seed=2)[0]])
+        sbm_generate([7, 1, 9], 1.0, 0.3, seed=2)[0]]
+
+    @pytest.mark.parametrize("g", GRAPHS)
     def test_bits_equal_scipy_product(self, g):
         # the former construction: D (A + I) D with scipy's sparse products
         import scipy.sparse as sp
@@ -140,6 +175,12 @@ class TestNormalizedAdjacency:
             got, want = getattr(p, name), getattr(expect, name)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_norm_from_degrees_matches_the_operator(self, g):
+        # the same row sums, added in another order
+        assert adjacency_inf_norm(g) == pytest.approx(
+            normalized_adjacency(g).inf_norm, rel=1e-14, abs=0.0)
 
     def test_cached_norm_matches_fixed_order_recompute(self):
         g, _ = sbm_generate([20, 15], 0.3, 0.05, seed=5)
@@ -401,6 +442,30 @@ class TestSbm:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in SCALE_6K_SHA256}
         assert digests == SCALE_6K_SHA256
+
+    def test_small_bundle_digests_frozen(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert main(["gen", *SMALL_GEN, "--seed", "3", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in SMALL_SHA256}
+        assert digests == SMALL_SHA256
+
+    @pytest.mark.parametrize("flags", [
+        *([*SMALL_GEN, "--seed", str(s)] for s in range(8)),
+        ["--blocks", "4,4", "--pin", "0.3", "--pout", "0", "--seed", "3"],
+        ["--blocks", "1"]], ids=[*(f"small-{s}" for s in range(8)),
+                                 "isolated-node", "one-node"])
+    def test_gen_prints_the_operator_norm(self, flags, tmp_path, capsys):
+        # gen prints the norm from the degrees; it is the operator's to the
+        # four printed digits
+        out = tmp_path / "bundle"
+        assert main(["gen", *flags, "--out", str(out)]) == 0
+        g = load_bundle(out).graph
+        stats = g.degree_stats()
+        assert capsys.readouterr().out == (
+            f"bundle sbm: n={g.n} edges={stats.edge_count} "
+            f"deg=[{stats.deg_min},{stats.deg_max}] "
+            f"adjacency_norm={normalized_adjacency(g).inf_norm:.4g}\n")
 
     def test_gen_never_imports_scipy(self, tmp_path):
         assert scipy_modules_after(["gen"], tmp_path) == []
