@@ -38,6 +38,9 @@ if TYPE_CHECKING:
 # dense-ish filter costs memory quadratic in n.
 FILTER_MATERIALIZE_LIMIT = 250
 
+# ``SparseGraph.edge_blocks`` reads this many stored entries per block.
+_EDGE_BLOCK = 1 << 10
+
 
 def scipy_sparse():
     """The ``scipy.sparse`` module, imported on first use."""
@@ -163,10 +166,11 @@ class SparseGraph:
         """(m, 2) array of edges with u < v, in CSR order."""
         return np.concatenate([*self.edge_blocks(), np.empty((0, 2), np.int64)])
 
-    def edge_blocks(self, size: int = 1 << 10):
+    def edge_blocks(self):
         """The rows of ``undirected_edges`` in order, one (k, 2) array for
-        each run of at most ``size`` stored entries: memory bounded by
-        ``size``, not by the edge count."""
+        each run of at most ``_EDGE_BLOCK`` stored entries: memory bounded
+        by the block, not by the edge count."""
+        size = _EDGE_BLOCK
         for start in range(0, self.col_idx.size, size):
             cols = self.col_idx[start:start + size]
             rows = np.searchsorted(self.row_ptr,

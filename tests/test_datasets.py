@@ -251,7 +251,9 @@ class TestSbmBundle:
         edge buffer feeds build_graph's one key array, and edges.tsv is
         written in bounded blocks (27 and 9 B with numpy 2.4).  Stacked
         per-row arrays, two key temporaries and a whole (m, 2) copy for
-        the file took 54 and 50."""
+        the file took 54 and 50.  The bounds were read under numpy 2.4
+        only; under the oldest numpy that pyproject.toml allows (1.24)
+        they are unverified."""
         import numpy.random  # noqa: F401  (its import is not the generator's)
 
         tracemalloc.start()

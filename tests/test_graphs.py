@@ -1,5 +1,6 @@
 import ast
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,7 +106,8 @@ class TestBuildGraph:
             lambda e: e[0] != e[1]), max_size=60))
         want = sorted({(min(e), max(e)) for e in pairs})
         g = build_graph(pairs, n)
-        blocks = list(g.edge_blocks(size))
+        with mock.patch("transgap.graphs._EDGE_BLOCK", size):
+            blocks = list(g.edge_blocks())
         assert all(b.dtype == np.int64 and b.shape[1] == 2 for b in blocks)
         assert len(blocks) == -(-2 * len(want) // size)
         assert [tuple(e) for b in blocks for e in b.tolist()] == want
