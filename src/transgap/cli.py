@@ -264,7 +264,7 @@ def _apply_config(parser: argparse.ArgumentParser,
     """
     try:
         cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"bad --config file: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("bad --config file: expected a JSON object")
@@ -511,21 +511,22 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"gen": cmd_gen, "analyze": cmd_analyze, "train": cmd_train,
                 "experiment": cmd_experiment, "gradcheck": cmd_gradcheck}
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else 0
+        args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        return handlers[args.command](args)
+        # a numeric failure prints its one line, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handlers[args.command](args)
+    except SystemExit as exc:  # argparse's own exit
+        return EXIT_USAGE if exc.code not in (0, None) else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BundleFormatError, FileNotFoundError) as exc:
+    except BundleFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FloatingPointError, RuntimeError) as exc:
+    except FloatingPointError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -127,8 +127,19 @@ def _is_saved_edges(text: str) -> bool:
     return True
 
 
+def _read(path: Path, parse, **kwargs):
+    """``parse(fh, **kwargs)`` of bundle file ``path`` opened as UTF-8 text;
+    a failure to open, read, decode or parse it is a BundleFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh, **kwargs)
+    except (OSError, ValueError, RecursionError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise BundleFormatError(f"{path}: {reason}") from None
+
+
 def _read_edges(path: Path, n: int) -> SparseGraph:
-    text = path.read_text(encoding="utf-8")
+    text = _read(path, lambda fh: fh.read())
     if _is_saved_edges(text):
         edges = np.fromstring(text, dtype=np.int64, sep=" ")
     else:  # skip blank and '#' lines, split the rest at one tab
@@ -153,22 +164,13 @@ def _read_edges(path: Path, n: int) -> SparseGraph:
         raise BundleFormatError(f"{path}: {exc}") from None
 
 
-def _load_table(path: Path, dtype, **kwargs) -> np.ndarray:
-    try:
-        return np.loadtxt(path, dtype=dtype, **kwargs)
-    except ValueError as exc:
-        raise BundleFormatError(f"{path}: {exc}") from None
-
-
 def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
     """Load and validate a bundle directory."""
     root = Path(path)
     meta_path = root / "meta.json"
-    if not meta_path.exists():
-        raise BundleFormatError(f"missing file: {meta_path}")
     keys = ("n", "d", "num_classes")
+    meta = _read(meta_path, json.load)
     try:
-        meta = json.loads(meta_path.read_text())
         sizes, name = [meta[key] for key in keys], str(meta["name"])
     except KeyError as exc:
         raise BundleFormatError(f"{meta_path}: missing key {exc}") from None
@@ -183,7 +185,7 @@ def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
                                     f"got {size}")
     n, d, num_classes = sizes
     # features.csv bounds n before the graph allocates n-sized arrays
-    x = _load_table(root / "features.csv", np.float64, delimiter=",", ndmin=2)
+    x = _read(root / "features.csv", np.loadtxt, delimiter=",", ndmin=2)
     if x.shape != (n, d):
         raise BundleFormatError(
             f"features.csv has shape {x.shape}, meta says {(n, d)}")
@@ -192,7 +194,7 @@ def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
         raise BundleFormatError(f"{root / 'features.csv'}: non-finite value "
                                 f"for node {int(np.argmin(finite))}")
     graph = _read_edges(root / "edges.tsv", n)
-    labels = _load_table(root / "labels.csv", np.int64, ndmin=1)
+    labels = _read(root / "labels.csv", np.loadtxt, dtype=np.int64, ndmin=1)
     if labels.shape != (n,):
         raise BundleFormatError(f"labels.csv has {labels.shape[0]} rows, need {n}")
     if labels.min() < 0 or labels.max() >= num_classes:

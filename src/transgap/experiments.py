@@ -85,7 +85,7 @@ def build_model(name: str, graph: SparseGraph, d: int, num_classes: int,
     with flag_errors():
         spec = model_spec_for(name, d=d, num_classes=num_classes,
                               **{k: getattr(flags, k) for k in MODEL_FLAGS})
-        return spec, PropOps(normalized_adjacency(graph), spec)
+    return spec, PropOps(normalized_adjacency(graph), spec)
 
 
 def check_model_flags(models, bundle: DatasetBundle, flags) -> None:
@@ -201,8 +201,9 @@ def run_single(bundle: DatasetBundle, config: ExperimentConfig, model: str,
                                       config.batch_size, config.eval_every)
     try:
         _, trace = run_sgd(spec, ops, bundle.x, bundle.labels, split, sgd)
-    except Exception as exc:
-        raise RuntimeError(f"run (model={model}, seed={seed}) failed: {exc}") from exc
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"run (model={model}, seed={seed}) failed: {exc}") from exc
     last = trace.checkpoints[-1]
     return RunResult(model=model, seed=seed,
                      loss_gap=abs(last.r_m - last.r_u),

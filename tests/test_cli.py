@@ -306,6 +306,8 @@ class TestExitCodes:
         ("meta.json", "{\"n\": 24,"),
         ("meta.json", "{\"n\": \"many\", \"d\": 4, \"num_classes\": 2, "
                       "\"name\": \"x\"}"),
+        pytest.param("meta.json", "[" * 100_000 + "]" * 100_000,
+                     id="meta.json-past-json-depth"),
     ])
     def test_malformed_bundle_file_is_data_error(self, name, text, bundle_dir,
                                                  tmp_path):
@@ -466,6 +468,84 @@ class TestExitCodes:
         assert (f"data error: {data / 'features.csv'}: non-finite value "
                 "for node 1") in res.stderr
         assert not out.exists()
+
+    # An unreadable file (PermissionError) takes the same path, but cannot
+    # be tested as root, which reads every file.
+    @pytest.mark.parametrize("name", ["meta.json", "features.csv",
+                                      "edges.tsv", "labels.csv"])
+    @pytest.mark.parametrize("kind,reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("non-utf8", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_unreadable_bundle_file_is_data_error(self, name, kind, reason,
+                                                  bundle_dir, tmp_path,
+                                                  capsys):
+        import shutil
+
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, data)
+        (data / name).unlink()
+        if kind == "directory":
+            (data / name).mkdir()
+        elif kind == "non-utf8":
+            (data / name).write_bytes(b"\xff\xfe1\n")
+        out = tmp_path / "t.csv"
+        rc = main(["train", "--data", str(data), "--T", "2",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"data error: {data / name}: {reason}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--T", "3", "--lr-c", "1e308", "--out", "t.csv"],
+        ["experiment", "--models", "gcn", "--seeds", "1", "--T", "3",
+         "--optimizer", "sgd", "--lr-c", "1e308", "--out", "o"],
+    ], ids=["train", "experiment"])
+    def test_numeric_failure_prints_one_line(self, argv, bundle_dir,
+                                             tmp_path):
+        res = run_cli([*argv, "--data", str(bundle_dir)], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.count("\n") == 1, res.stderr
+        assert res.stderr.startswith("numeric error: ")
+        if argv[0] == "experiment":
+            assert "run (model=gcn, seed=0)" in res.stderr
+
+    @pytest.mark.parametrize("target,argv,error", [
+        ("transgap.experiments.run_sgd",
+         ["experiment", "--models", "gcn", "--seeds", "1", "--out", "o"],
+         TypeError),
+        ("transgap.cli.run_sgd", ["train", "--out", "t.csv"], RuntimeError),
+        ("transgap.experiments.normalized_adjacency",
+         ["train", "--out", "t.csv"], ValueError),
+    ], ids=["experiment-run", "train-run", "normalized-adjacency"])
+    def test_fault_in_the_program_propagates(self, target, argv, error,
+                                             bundle_dir, tmp_path,
+                                             monkeypatch):
+        def fault(*args, **kwargs):
+            raise error("planted fault")
+
+        monkeypatch.setattr(target, fault)
+        monkeypatch.setenv("TRANSGAP_THREADS", "1")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(error, match="planted fault") as info:
+            main([*argv, "--data", str(bundle_dir), "--T", "2"])
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("content", [
+        b"\xff{}", b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["non-utf8", "past-json-depth"])
+    def test_undecodable_config_is_usage_error(self, content, tmp_path,
+                                               capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        rc = main(["--config", str(cfg_path), "gradcheck"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("usage error: bad --config file: ")
+        assert err.count("\n") == 1
 
     def test_gradcheck_pass_exit_zero(self, tmp_path):
         res = run_cli(["gradcheck", "--model", "sgc", "--instances", "3"],
@@ -694,6 +774,33 @@ class TestConfigMerge:
         rc, out = self._train(bundle_dir, tmp_path, cfg)
         assert rc == 0
         assert got != out.read_bytes()
+
+    @staticmethod
+    def _parse(*argv):
+        from transgap.cli import build_parser
+
+        # a new parser each time, as --config sets the parser's defaults
+        return build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_prefix_of_a_subcommand_flag_is_not_the_config(self, tmp_path,
+                                                           config):
+        # --c abbreviates gradcheck's --classes, and the global --config
+        # too: a pre-parse of --config alone would read "--c 3" as a path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instances": 2}))
+        head = ["--config", str(cfg_path)] if config else []
+        short = self._parse(*head, "gradcheck", "--c", "3")
+        assert short == self._parse(*head, "gradcheck", "--classes", "3")
+        assert short.classes == 3
+        assert short.instances == (2 if config else 10)
+
+    def test_prefix_of_config_is_config(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instances": 2}))
+        short = self._parse("--conf", str(cfg_path), "gradcheck")
+        assert short == self._parse("--config", str(cfg_path), "gradcheck")
+        assert short.instances == 2
 
 
 # A new process writes a 24-node bundle, under the filter limit, and runs

@@ -100,7 +100,7 @@ class TestRunExperiment:
         x[0, 0] = float("nan")
         bundle = DatasetBundle(name=src.name, graph=src.graph, x=x,
                                labels=src.labels, num_classes=src.num_classes)
-        with pytest.raises(RuntimeError, match="model=gcn, seed=0"):
+        with pytest.raises(FloatingPointError, match="model=gcn, seed=0"):
             run_single(bundle, small_config(), "gcn", 0)
 
 
