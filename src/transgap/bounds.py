@@ -8,10 +8,10 @@ The certificate is the fully evaluable chain
           + sqrt(S Q / 2 * ln(2 / delta))
 
 with Q = 1/m + 1/u, S = (m+u) / ((m+u-1/2)(1 - 1/(2 max(m,u)))) and
-c0 = sqrt(32 ln(4e) / 3).  The radius R defaults to the measured trajectory
-radius max_t ||w_t - w_1||, so every reported number is computable from the
-run itself ("measured-R certificate").  Rate surrogates share three classes
-in the Hoelder exponent: below, at, and above one half.
+c0 = sqrt(32 ln(4e) / 3).  R is the measured trajectory radius
+max_t ||w_t - w_1|| ("measured-R certificate"), or a radius the caller
+gives ("given-R certificate").  Rate surrogates share three classes in the
+Hoelder exponent: below, at, and above one half.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class BoundReport:
         return (self.trc_term + self.dudley_term + self.conc_term_1
                 + self.conc_term_2)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, radius_kind: str = "measured") -> dict:
         return {
             "trc_term": self.trc_term,
             "dudley_term": self.dudley_term,
@@ -153,7 +153,7 @@ class BoundReport:
             "total": self.total,
             "rate_class": self.rate_class,
             "rate_value": self.rate_value,
-            "radius_source": "measured-R certificate",
+            "radius_source": f"{radius_kind}-R certificate",
         }
 
 

@@ -372,7 +372,7 @@ def _analyze_one(bundle, args, model: str) -> dict:
     t0_floor = theory_offset(report.p_f, alpha_rate, warnings.append,
                              mu=args.mu)
     return {"model": model, "constants": report.to_dict(),
-           "bound": bound.to_dict(),
+           "bound": bound.to_dict("measured" if args.radius is None else "given"),
            "bound_inputs": {"m": inputs.m, "u": inputs.u, "dim": inputs.dim,
                             "T": inputs.big_t, "delta": inputs.delta,
                             "alpha": inputs.alpha, "radius": radius,

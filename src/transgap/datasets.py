@@ -188,7 +188,7 @@ def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
     x = _read(root / "features.csv", np.loadtxt, delimiter=",", ndmin=2)
     if x.shape != (n, d):
         raise BundleFormatError(
-            f"features.csv has shape {x.shape}, meta says {(n, d)}")
+            f"{root / 'features.csv'} has shape {x.shape}, meta says {(n, d)}")
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise BundleFormatError(f"{root / 'features.csv'}: non-finite value "
@@ -196,11 +196,12 @@ def load_bundle(path, normalize_features: bool = False) -> DatasetBundle:
     graph = _read_edges(root / "edges.tsv", n)
     labels = _read(root / "labels.csv", np.loadtxt, dtype=np.int64, ndmin=1)
     if labels.shape != (n,):
-        raise BundleFormatError(f"labels.csv has {labels.shape[0]} rows, need {n}")
+        raise BundleFormatError(
+            f"{root / 'labels.csv'} has {labels.shape[0]} rows, need {n}")
     if labels.min() < 0 or labels.max() >= num_classes:
         bad = int(np.argmax((labels < 0) | (labels >= num_classes))) + 1
         raise BundleFormatError(
-            f"labels.csv:{bad}: class index outside [0, {num_classes})")
+            f"{root / 'labels.csv'}:{bad}: class index outside [0, {num_classes})")
     if normalize_features:
         x = row_normalize(x)
     return DatasetBundle(name=name, graph=graph, x=x,

@@ -51,24 +51,40 @@ def scipy_sparse():
 
 @cache
 def _sparsetools():
-    """scipy's compiled sparse kernels, loaded from their file in about
-    1 ms.  Importing them as ``scipy.sparse._sparsetools`` would first run
-    the whole ``scipy.sparse`` package: about 0.15-0.19 s and 19 MB of
-    every command."""
-    name = "scipy.sparse._sparsetools"
+    """scipy's compiled sparse kernels, loaded from their file and checked
+    in under 1 ms.  Importing them as ``scipy.sparse._sparsetools`` would
+    first run the whole ``scipy.sparse`` package: about 0.15-0.19 s and
+    19 MB of every command."""
     scipy = importlib.util.find_spec("scipy")  # locates, imports nothing
-    for root in (scipy.submodule_search_locations if scipy else None) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(name, path)
-                spec = importlib.util.spec_from_loader(name, loader)
-                module = importlib.util.module_from_spec(spec)
-                loader.exec_module(module)
-                return module
-    from scipy.sparse import _sparsetools
+    roots = [os.path.join(root, "sparse") for root in
+             getattr(scipy, "submodule_search_locations", None) or ()]
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.sparse._sparsetools", roots)
+    if spec is None:
+        from scipy.sparse import _sparsetools as module
+    else:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    _check_kernels(module)
+    return module
 
-    return _sparsetools
+
+def _check_kernels(kernels) -> None:
+    """Raise RuntimeError unless the four kernels multiply the CSR arrays
+    of [[1, 0, 3], [0, 0, 0], [0, 5, 0]] (read as CSC: its transpose) by
+    [1, 2, 4] exactly."""
+    args = (np.int64([0, 2, 2, 3]), np.int64([0, 2, 1]),  # ptr, cols,
+            np.float64([1, 3, 5]), np.float64([1, 2, 4]))  # values, x
+    try:
+        for kind, want in (("csr", [13, 0, 10]), ("csc", [1, 20, 3])):
+            for name, vecs in ((kind + "_matvec", ()), (kind + "_matvecs", (1,))):
+                out = np.zeros(3)
+                getattr(kernels, name)(3, 3, *vecs, *args, out)
+                if out.tolist() != want:
+                    raise ValueError(f"gave {out.tolist()}, not {want}")
+    except Exception as err:  # a changed signature raises here
+        from scipy import __version__
+        raise RuntimeError(f"scipy {__version__}, {name}: {err}") from err
 
 
 def csr_product(ptr: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -203,16 +219,6 @@ class SparseGraph:
             raise ValueError("adjacency not symmetric")
 
 
-def _ltr_row_sums(row_ptr: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Row sums with fixed left-to-right accumulation.
-
-    Weighted ``bincount`` adds the entries one at a time in storage order,
-    and each row's entries are stored contiguously, left to right.
-    """
-    rows = np.repeat(np.arange(n), np.diff(row_ptr))
-    return np.bincount(rows, weights=values, minlength=n)
-
-
 @dataclass(frozen=True)
 class PropagationMatrix:
     """Sparse nonnegative operator with a cached infinity norm."""
@@ -261,12 +267,12 @@ class PropagationMatrix:
         return self._csr
 
     def row_sums(self) -> np.ndarray:
-        return _ltr_row_sums(self.row_ptr, self.values, self.n)
+        return self.matmat(np.ones(self.n))
 
     @cached_property
     def inf_norm(self) -> float:
-        """The exact maximum row sum under the package's fixed
-        left-to-right accumulation order; 0 for an empty operator."""
+        """The exact maximum row sum, each row added left to right from 0
+        by ``csr_matvec``; 0 for an empty operator."""
         return float(self.row_sums().max()) if self.n else 0.0
 
     def matmat(self, x: np.ndarray) -> np.ndarray:

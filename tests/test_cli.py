@@ -308,6 +308,9 @@ class TestExitCodes:
                       "\"name\": \"x\"}"),
         pytest.param("meta.json", "[" * 100_000 + "]" * 100_000,
                      id="meta.json-past-json-depth"),
+        pytest.param("labels.csv", "0\n1\n", id="labels.csv-too-few-rows"),
+        pytest.param("labels.csv", "0\n" * 23 + "2\n",
+                     id="labels.csv-class-outside-the-classes"),
     ])
     def test_malformed_bundle_file_is_data_error(self, name, text, bundle_dir,
                                                  tmp_path):
@@ -381,8 +384,8 @@ class TestExitCodes:
         res = run_cli(["train", "--data", str(data), "--T", "2",
                        "--out", str(tmp_path / "t.csv")], tmp_path)
         assert res.returncode == 2, res.stderr
-        assert ("data error: features.csv has shape (24, 4), meta says "
-                "(1000000000000000, 4)" in res.stderr)
+        assert (f"data error: {data / 'features.csv'} has shape (24, 4), "
+                "meta says (1000000000000000, 4)" in res.stderr)
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("flag", ["--q=1.001", "--alpha-rate=1e-300"])
@@ -626,6 +629,20 @@ class TestAnalyze:
         assert values == sorted(values)
         by_model = {e["model"]: e["constants"]["L_F"] for e in rep["compare"]}
         assert by_model["sgc"] <= by_model["gcn"]
+
+    @pytest.mark.parametrize("flags,source", [
+        ([], "measured-R certificate"),
+        (["--radius", "0.5"], "given-R certificate"),
+    ], ids=["measured", "given"])
+    def test_radius_source_says_where_the_radius_came_from(
+            self, flags, source, bundle_dir, tmp_path):
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--data", str(bundle_dir), "--model", "sgc",
+                     "--T", "2", *flags, "--out", str(out)]) == 0
+        (entry,) = json.loads(out.read_text())["compare"]
+        assert entry["bound"]["radius_source"] == source
+        if flags:
+            assert entry["bound_inputs"]["radius"] == 0.5
 
 
 class TestExperimentCommand:

@@ -1,4 +1,5 @@
-"""``graphs.csr_product`` against scipy's own ``@``.
+"""``graphs.csr_product`` against scipy's own ``@``, and the loading and
+first-load check of the kernels it calls.
 
 The product calls the compiled kernels that scipy's ``@`` dispatches to,
 with the same arguments, so every result must equal scipy's bit for bit,
@@ -7,9 +8,12 @@ plain and transposed, whatever the operand's shape or memory layout.
 
 import importlib.machinery
 import importlib.util
+import re
+import types
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 from transgap import graphs
@@ -75,6 +79,21 @@ def fresh_kernels():
     graphs._sparsetools.cache_clear()
 
 
+@pytest.fixture
+def own_import(fresh_kernels, monkeypatch):
+    """A stand-in for the module of ``scipy.sparse``'s own import of the
+    kernels, so that a test can tell the kernels came from that import."""
+    kernels = types.SimpleNamespace(**vars(sp._sparsetools))
+    monkeypatch.setattr(sp, "_sparsetools", kernels)
+    return kernels
+
+
+def hide_kernel_file(monkeypatch, tmp_path):
+    """Point scipy's search location at an empty directory."""
+    monkeypatch.setattr(importlib.util.find_spec("scipy"),
+                        "submodule_search_locations", [str(tmp_path)])
+
+
 def test_kernels_load_from_their_file(fresh_kernels):
     module = graphs._sparsetools()
     assert module.__spec__.loader.__class__ is (
@@ -86,17 +105,44 @@ def test_kernels_load_from_their_file(fresh_kernels):
 
 
 @pytest.mark.parametrize("hide", ["package", "file"])
-def test_fallback_import(hide, fresh_kernels, monkeypatch):
+def test_fallback_import(hide, own_import, monkeypatch, tmp_path):
     # without scipy's location, or with no kernel file there, the kernels
-    # come from scipy.sparse's own import
+    # come from scipy.sparse's own import (here the stand-in)
     if hide == "package":
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     else:
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
-                            [".missing"])
+        hide_kernel_file(monkeypatch, tmp_path)
     from scipy.sparse import _sparsetools
 
     assert graphs._sparsetools() is _sparsetools
     a, link = block(12, 9, seed=4)
     m = np.random.default_rng(4).normal(size=(9, 3))
     assert np.array_equal(csr_product(*link, m), a @ m)
+
+
+def swap_values_and_operand(kernel):
+    def call(*args):
+        *head, vals, x, out = args
+        return kernel(*head, x, vals, out)
+    return call
+
+
+def raise_type_error(*args):
+    raise TypeError("the kernel takes other arguments")
+
+
+@pytest.mark.parametrize("fault", ["swapped arguments", "TypeError"])
+@pytest.mark.parametrize("name", ["csr_matvec", "csr_matvecs", "csc_matvec",
+                                  "csc_matvecs"])
+def test_kernels_are_checked_at_first_load(fault, name, own_import,
+                                           monkeypatch, tmp_path):
+    hide_kernel_file(monkeypatch, tmp_path)
+    kernel = getattr(own_import, name)
+    broken = (raise_type_error if fault == "TypeError"
+              else swap_values_and_operand(kernel))
+    monkeypatch.setattr(own_import, name, broken)
+    with pytest.raises(RuntimeError,
+                       match=re.escape(f"scipy {scipy.__version__}, {name}:")):
+        graphs._sparsetools()
+    monkeypatch.setattr(own_import, name, kernel)
+    assert graphs._sparsetools() is own_import
