@@ -234,7 +234,7 @@ def _config_value(key: str, action: argparse.Action, value):
             raise UsageError(f"--config {key}: expected true or false, "
                              f"got {value!r}")
         return value
-    if value is None and action.default is None:
+    if value is None and action.default is None and not action.required:
         return None
     if isinstance(value, (bool, list, dict)) or value is None:
         raise UsageError(f"--config {key}: expected a single value, "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,12 +130,16 @@ def _is_saved_edges(text: str) -> bool:
 
 def _read(path: Path, parse, **kwargs):
     """``parse(fh, **kwargs)`` of bundle file ``path`` opened as UTF-8 text;
-    a failure to open, read, decode or parse it is a BundleFormatError."""
+    a failure to open, read, decode or parse it, or a warning of the parse
+    (numpy's for a table with no data), is a BundleFormatError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
             return parse(fh, **kwargs)
-    except (OSError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError, Warning) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
+        if isinstance(exc, Warning):  # its first line, up to an object repr
+            reason = str(exc).splitlines()[0].split("<")[0].rstrip(' :"')
         raise BundleFormatError(f"{path}: {reason}") from None
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -225,11 +226,6 @@ def pool_size() -> int:
     return workers
 
 
-def _worker(args):
-    bundle, config, model, seed = args
-    return run_single(bundle, config, model, seed)
-
-
 @dataclass
 class GapReport:
     """Aggregate mean/std rows plus the per-run results, in a fixed order."""
@@ -277,8 +273,8 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_worker,
-                                 [(bundle, config, m, s) for m, s in jobs]))
+            runs = list(pool.map(run_single, repeat(bundle), repeat(config),
+                                 *zip(*jobs)))
     else:
         runs = [run_single(bundle, config, m, s) for m, s in jobs]
     report = GapReport(config=config, runs=runs)

@@ -2,17 +2,17 @@
 
 ``_backward`` is each architecture's one backward pass from the logit
 errors of a set of rows (``models.logit_error``); it returns the gradient
-it builds.  For gcn, sgc and gcnii it is one top-down walk over the layers
-of a plan (``PropOps.row_sets``), readout first.  It never calls the
-activation: it multiplies by rows of the forward's sigma' (``sps``).
-``grad_mean`` runs it on the plan of every node, with the errors of an
-index multiset, to get the mean (or any weighted sum) of per-sample
-gradients.  ``grad_sample`` returns the exact gradient of one node's
-cross-entropy: gcn, sgc and gcnii run ``_backward`` on that node's error
-row, down the node's own plan (built once per node); appnp and gprgnn run
-``_filter_row_grad`` on one row of their filter (the gamma-weighted rows
-of P^0..P^K of ``PropOps.power_row``), into the same MLP backward.
-``fd_gradient`` is the independent central-difference oracle.
+it builds, and every gradient here is one call of it.  It runs down a
+plan: for gcn, sgc and gcnii one top-down walk over the layers of
+``PropOps.row_sets``, readout first; for appnp and gprgnn one node's
+filter rows, or without a plan every node through the transposed filter.
+It never calls the activation: it multiplies by rows of the forward's
+sigma' (``sps``).  ``grad_mean`` runs it on the plan of every node, with
+the errors of an index multiset, to get the mean (or any weighted sum) of
+per-sample gradients.  ``grad_sample`` runs it on one node's error row
+and that node's own plan, for the exact gradient of the node's
+cross-entropy.  ``fd_gradient`` is the independent central-difference
+oracle.
 """
 
 from __future__ import annotations
@@ -31,49 +31,20 @@ def grad_sample(spec: ModelSpec, ops: PropOps, x: np.ndarray, w: np.ndarray,
     """Gradient of the cross-entropy at node i w.r.t. the flat parameters,
     from a forward over every node or for rows that hold node i (without
     ``cache``, for node i alone).  appnp and gprgnn read only the MLP of
-    either forward and build node i's logits from its filter row."""
+    either forward and build node i's logits from its filter rows."""
     if cache is None:
         cache = forward(spec, ops, x, w, np.array([i]))
     if spec.arch in ("appnp", "gprgnn"):
-        return _filter_row_grad(spec, ops, x, w, cache, i, label)
-    top = cache.sets[-1]
-    if top is not ALL and i not in top:
-        raise ValueError(f"node {i} has no logits in this forward")
-    plan = ops.row_sets(np.array([i]))
-    err = logit_error(cache.probs[positions(top, plan[0][-1])], label)
+        rows = ops.power_row(i, spec.big_k)
+        plan = rows, rows @ cache.h  # row i of P^k and of P^k h, k = 0..K
+        err = logit_error(softmax_rows(cache.gamma @ plan[1]), label)
+    else:
+        top = cache.sets[-1]
+        if top is not ALL and i not in top:
+            raise ValueError(f"node {i} has no logits in this forward")
+        plan = ops.row_sets(np.array([i]))
+        err = logit_error(cache.probs[positions(top, plan[0][-1])], label)
     return _backward(spec, ops, x, w, cache, err, plan)
-
-
-def _filter_row_grad(spec, ops, x, w, cache, i, label):
-    """Per-sample backward of appnp / gprgnn from row i of the filter.
-
-    Node i's logits are that row times the MLP output h, the row being the
-    ``cache.gamma``-weighted rows of P^k, k = 0..K (appnp's gamma is
-    ``appnp_coefficients``), so no whole-graph product is needed: the logit
-    error enters the MLP backward as row * sigma'(pre2) * err.
-    """
-    layout = layout_for(spec)
-    g = np.zeros(layout.dim)
-    rows = ops.power_row(i, spec.big_k)
-    hop_logits = rows @ cache.h  # row i of P^k h, k = 0..K
-    row = cache.gamma @ rows
-    err = logit_error(softmax_rows(cache.gamma @ hop_logits), label)
-    if "gamma" in layout.names():
-        layout.view(g, "gamma")[...] = hop_logits @ err
-    dpre2 = row[:, None] * cache.sps[1]
-    dpre2 *= err
-    _mlp_backward(x, cache, layout, layout.matrices(w), g, dpre2)
-    return g
-
-
-def _mlp_backward(x, cache, layout, mats, g, dpre2):
-    """W2 and W1 blocks of the node-wise MLP of appnp / gprgnn from the
-    error at its output pre-activation."""
-    layout.view(g, "W2")[...] = cache.s1.T @ dpre2
-    dpre1 = np.matmul(dpre2, mats["W2"].T,
-                      out=lend(cache.buf, "tmp", 0, len(dpre2)))
-    dpre1 *= cache.sps[0]
-    layout.view(g, "W1")[...] = x.T @ dpre1
 
 
 def _backward(spec, ops, x, w, cache, err, plan=None):
@@ -82,22 +53,34 @@ def _backward(spec, ops, x, w, cache, err, plan=None):
     gcn, sgc and gcnii run them down ``plan`` (the forward's own row sets
     and links by default), a plan of ``PropOps.row_sets`` whose sets lie
     inside the forward's: ``err`` holds one row for each node of its top
-    set, and the errors at layer l sit on its set S_l.  appnp and gprgnn
-    take every node and run the errors through the transposed filter, the
-    ``gpr_powers`` stack weighted by ``cache.gamma``.  Its n x h products
-    and scratch go to the ``tmp`` arrays of ``cache.buf``, if any."""
+    set, and the errors at layer l sit on its set S_l.  For appnp and
+    gprgnn, ``plan`` is node i's filter rows, the pair of its rows of
+    P^0..P^K (``PropOps.power_row``) and their products with the MLP
+    output h, with node i's error; without it they take every node and run
+    the errors through the transposed filter, the ``gpr_powers`` stack.
+    Either is weighted by ``cache.gamma``.  Its n x h products and scratch
+    go to the ``tmp`` arrays of ``cache.buf``, if any."""
     layout = layout_for(spec)
     mats = layout.matrices(w)
     g = np.zeros(layout.dim)
     depth = spec.depth
     if spec.arch in ("appnp", "gprgnn"):
-        if "gamma" in layout.names():
-            gg = layout.view(g, "gamma")
-            gg[...] = [np.sum(err * hop) for hop in cache.stack]
-        dstack = gpr_powers(ops.p, err, spec.big_k)
-        dh = np.tensordot(cache.gamma, dstack, axes=(0, 0))
-        dh *= cache.sps[1]
-        _mlp_backward(x, cache, layout, mats, g, dh)
+        if "gamma" in layout.names():  # err times each hop's logits
+            layout.view(g, "gamma")[...] = (
+                [np.sum(err * hop) for hop in cache.stack] if plan is None
+                else plan[1] @ err)
+        if plan is None:
+            dstack = gpr_powers(ops.p, err, spec.big_k)
+            dpre2 = np.tensordot(cache.gamma, dstack, axes=(0, 0))
+            dpre2 *= cache.sps[1]
+        else:  # node i's filter row times sigma'(pre2) times err
+            dpre2 = (cache.gamma @ plan[0])[:, None] * cache.sps[1]
+            dpre2 *= err
+        layout.view(g, "W2")[...] = cache.s1.T @ dpre2
+        dpre1 = np.matmul(dpre2, mats["W2"].T,
+                          out=lend(cache.buf, "tmp", 0, len(dpre2)))
+        dpre1 *= cache.sps[0]
+        layout.view(g, "W1")[...] = x.T @ dpre1
         return g
     sets, links = plan or (cache.sets, cache.links)
 

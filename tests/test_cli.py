@@ -324,6 +324,36 @@ class TestExitCodes:
         assert res.returncode == 2, res.stderr
         assert f"data error: {data / name}" in res.stderr
 
+    @pytest.mark.parametrize("name", ["features.csv", "labels.csv"])
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n#\n"],
+                             ids=["empty", "blank-lines", "comment-lines"])
+    def test_table_without_data_is_one_line_data_error(self, name, text,
+                                                       bundle_dir, tmp_path):
+        # numpy's loadtxt warns on a table with no rows: the warning is the
+        # data error, not a second message beside it
+        import shutil
+
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, data)
+        (data / name).write_text(text)
+        res = run_cli(["train", "--data", str(data), "--T", "2",
+                       "--out", str(tmp_path / "t.csv")], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.count("\n") == 1, res.stderr
+        assert res.stderr.startswith(f"data error: {data / name}: ")
+        assert "<" not in res.stderr  # no object repr of the open file
+
+    def test_empty_edge_list_is_a_graph_without_edges(self, bundle_dir,
+                                                      tmp_path):
+        import shutil
+
+        data = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, data)
+        (data / "edges.tsv").write_text("")
+        res = run_cli(["train", "--data", str(data), "--T", "2",
+                       "--out", str(tmp_path / "t.csv")], tmp_path)
+        assert res.returncode == 0, res.stderr
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_bundle_without_nodes_is_data_error(self, n, bundle_dir,
                                                 tmp_path):
@@ -749,6 +779,7 @@ class TestConfigMerge:
     @pytest.mark.parametrize("cfg", [{"bogus": 3}, {"help": True},
                                      {"T": 2.5}, {"T": "five"}, {"T": True},
                                      {"T": None}, {"T": [3]},
+                                     {"data": None},
                                      {"model": "mlp"},
                                      {"row_normalize": 1}])
     def test_bad_key_or_value_is_usage_error(self, bundle_dir, tmp_path,
@@ -757,6 +788,23 @@ class TestConfigMerge:
         assert rc == 1
         assert "usage error: --config" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,argv", [
+        ("data", ["train", "--out", "t.csv"]),
+        ("out", ["gen"]),
+        ("out", ["train", "--data", "{data}"]),
+    ], ids=["train-data", "gen-out", "train-out"])
+    def test_null_for_a_required_flag_is_usage_error(self, key, argv,
+                                                     bundle_dir, tmp_path,
+                                                     capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: None}))
+        argv = [a.replace("{data}", str(bundle_dir)) for a in argv]
+        assert main(["--config", str(cfg_path), *argv]) == 1
+        assert (f"usage error: --config {key}: expected a single value, "
+                "got None" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_config_must_be_an_object(self, bundle_dir, tmp_path):
         rc, _ = self._train(bundle_dir, tmp_path, [3])

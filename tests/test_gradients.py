@@ -186,3 +186,28 @@ class TestBatchMean:
         spec, ops, x, w, labels = small_instance("sgc", seed=2)
         with pytest.raises(ValueError):
             grad_mean(spec, ops, x, w, np.array([], dtype=int), labels)
+
+
+@pytest.mark.parametrize("arch", ALL_ARCHS)
+def test_every_gradient_is_one_backward(arch, monkeypatch):
+    """grad_sample, with or without a whole-graph forward, and grad_mean
+    each run ``gradients._backward`` once: no architecture has a second
+    backward pass."""
+    import transgap.gradients as gradients
+
+    spec, ops, x, w, labels = small_instance(arch, seed=4)
+    calls = []
+    backward = gradients._backward
+
+    def spy(*args, **kwargs):
+        calls.append(arch)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(gradients, "_backward", spy)
+    cache = forward(spec, ops, x, w)
+    grad_sample(spec, ops, x, w, 5, int(labels[5]))
+    assert len(calls) == 1
+    grad_sample(spec, ops, x, w, 5, int(labels[5]), cache=cache)
+    assert len(calls) == 2
+    grad_mean(spec, ops, x, w, np.array([1, 5, 5]), labels, cache=cache)
+    assert len(calls) == 3
